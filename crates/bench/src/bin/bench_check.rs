@@ -40,8 +40,14 @@ fn load(path: &str) -> Json {
     })
 }
 
+const USAGE: &str = "usage: bench_check --kind fig12|fig13|scale --new REPORT.json \
+[--baseline BENCH.json] [--relaxed] [--track deltas.txt] [--require verdict_a,verdict_b]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        USAGE,
+        &["kind", "new", "baseline", "relaxed", "track", "require"],
+    );
     let kind_name = args.get("kind").unwrap_or_else(|| {
         eprintln!("bench_check: --kind fig12|fig13|scale is required");
         std::process::exit(2);

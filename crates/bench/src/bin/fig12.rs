@@ -18,8 +18,14 @@ use reo_bench::json::{json_path, json_str};
 use reo_bench::Args;
 use reo_connectors::RunOutcome;
 
+const USAGE: &str = "usage: fig12 [--secs 0.3] [--ns 2,4,8,16,32,64] [--families merger,router,…] \
+[--partitioned] [--compiled] [--json [BENCH_fig12.json]]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        USAGE,
+        &["secs", "ns", "families", "partitioned", "compiled", "json"],
+    );
     let mut config = Config {
         window: Duration::from_secs_f64(args.f64("secs", 0.3)),
         ns: args.usize_list("ns", &[2, 4, 8, 16, 32, 64]),

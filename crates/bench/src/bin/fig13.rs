@@ -34,8 +34,14 @@ struct Row {
     m: Measurement,
 }
 
+const USAGE: &str = "usage: fig13 [--prog cg|lu|both] [--classes S,C-scaled] [--ns 2,4,8] \
+[--timeout 120] [--large-n] [--json [BENCH_fig13.json]]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        USAGE,
+        &["prog", "classes", "ns", "timeout", "large-n", "json"],
+    );
     let progs: Vec<&'static str> = match args.get("prog").unwrap_or("both") {
         "cg" => vec!["cg"],
         "lu" => vec!["lu"],

@@ -82,7 +82,10 @@ fn emit_family(family: &Family, n: usize, opts: &ProductOptions) -> Result<Strin
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        "usage: reo-codegen [--families channels,pipeline,…] [--n 4] [--out DIR]",
+        &["families", "n", "out"],
+    );
     let filter: Vec<String> = args.list("families", CODEGEN_FAMILIES);
     let n = args.usize("n", CODEGEN_N);
     let opts = ProductOptions {

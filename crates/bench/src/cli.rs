@@ -1,4 +1,9 @@
 //! Minimal flag parsing shared by the harness binaries (no external deps).
+//!
+//! Each binary declares the flags it accepts and its usage text;
+//! [`Args::from_env`] prints the usage and exits 0 on `--help`, and
+//! exits 2 with the usage on any undeclared flag, so a mistyped or
+//! retired flag is never silently ignored.
 
 use std::collections::HashMap;
 
@@ -27,8 +32,37 @@ impl Args {
         args
     }
 
-    pub fn from_env() -> Args {
-        Self::parse(std::env::args().skip(1))
+    /// Parse `argv` against the declared `flags`: `Err(None)` asks for
+    /// the usage (`--help`), `Err(Some(flag))` names an undeclared flag.
+    pub fn parse_declared(
+        argv: impl Iterator<Item = String>,
+        flags: &[&str],
+    ) -> Result<Args, Option<String>> {
+        let args = Self::parse(argv);
+        if args.flags.contains_key("help") {
+            return Err(None);
+        }
+        match args.flags.keys().find(|k| !flags.contains(&k.as_str())) {
+            Some(unknown) => Err(Some(unknown.clone())),
+            None => Ok(args),
+        }
+    }
+
+    /// The process arguments, parsed against the binary's declared
+    /// `flags`. `--help` prints `usage` and exits 0; an undeclared flag
+    /// prints an error and `usage` to stderr and exits 2.
+    pub fn from_env(usage: &str, flags: &[&str]) -> Args {
+        match Self::parse_declared(std::env::args().skip(1), flags) {
+            Ok(args) => args,
+            Err(None) => {
+                println!("{usage}");
+                std::process::exit(0);
+            }
+            Err(Some(flag)) => {
+                eprintln!("unknown flag --{flag}\n{usage}");
+                std::process::exit(2);
+            }
+        }
     }
 
     pub fn get(&self, key: &str) -> Option<&str> {
@@ -95,6 +129,23 @@ mod tests {
         assert_eq!(a.usize_list("ns", &[1]), vec![2, 4, 8]);
         assert!(a.bool("verbose"));
         assert_eq!(a.positional, vec!["run"]);
+    }
+
+    fn declared(s: &str) -> Result<Args, Option<String>> {
+        Args::parse_declared(s.split_whitespace().map(String::from), &["secs", "ns"])
+    }
+
+    #[test]
+    fn declared_flags_parse_and_others_are_rejected() {
+        let a = declared("--secs 0.5 --ns 2,4 run").unwrap();
+        assert_eq!(a.f64("secs", 1.0), 0.5);
+        assert_eq!(a.positional, vec!["run"]);
+        assert_eq!(
+            declared("--secs 1 --workers 2").unwrap_err(),
+            Some("workers".into())
+        );
+        assert_eq!(declared("--help").unwrap_err(), None);
+        assert_eq!(declared("--ns 2 --help").unwrap_err(), None, "help wins");
     }
 
     #[test]

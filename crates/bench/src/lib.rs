@@ -9,7 +9,7 @@
 //!   original vs Reo-based run times, plus the N ≥ 16 non-termination
 //!   reproduction and its partitioned-execution fix.
 //! * `scale` binary — throughput under task contention: tasks ×
-//!   {jit, partitioned, partitioned+workers}, with the engine wakeup/
+//!   {jit, partitioned, compiled}, with the engine wakeup/
 //!   lock counters ([`reo_runtime::EngineStats`]).
 //! * `bench_check` binary — schema validation and the CI
 //!   failure-regression gate over the `BENCH_*.json` reports (schemas
@@ -25,3 +25,14 @@ pub mod json;
 pub mod scale;
 
 pub use cli::Args;
+
+/// Keeps the fault sweep's unit test apart from every other unit test
+/// that fires engines: the sweep arms the runtime's process-global
+/// panic hook, and a step fired by a concurrently running test would
+/// take that panic instead. The fault test holds the write side, the
+/// others share the read side.
+#[cfg(test)]
+pub(crate) fn engine_tests() -> &'static std::sync::RwLock<()> {
+    static LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+    &LOCK
+}

@@ -8,9 +8,9 @@
 //! ```
 //!
 //! * `diff` generates structured scenarios and runs each across the full
-//!   10-mode grid (see `reo_fuzz::diff`), stopping at the time box or
+//!   8-mode grid (see `reo_fuzz::diff`), stopping at the time box or
 //!   the scenario budget, whichever comes first. Scenario counting is
-//!   grid-wide: one generated case counts as 10 executed scenarios, one
+//!   grid-wide: one generated case counts as 8 executed scenarios, one
 //!   per mode.
 //! * `faults` generates *fault-injection* scenarios — dropped ports,
 //!   panics injected into firings, scripted poisons, close races — and
@@ -35,8 +35,22 @@ use reo_fuzz::{
     minimize_case, minimize_source, mode_grid, replay, to_text, CaseOutcome, CorpusCase, Rng,
 };
 
+const USAGE: &str = "usage: reo-fuzz diff|faults [--seconds 60] [--scenarios N] [--seed S] [--corpus DIR] [--verbose]
+       reo-fuzz pipeline [--seconds 30] [--sources N] [--seed S] [--corpus DIR]
+       reo-fuzz replay [--corpus DIR]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        USAGE,
+        &[
+            "seconds",
+            "scenarios",
+            "sources",
+            "seed",
+            "corpus",
+            "verbose",
+        ],
+    );
     let corpus_dir = PathBuf::from(args.get("corpus").unwrap_or("tests/corpus"));
     let seed = args.usize("seed", 1) as u64;
     let ok = match args.positional.first().map(String::as_str) {
@@ -45,7 +59,7 @@ fn main() {
         Some("pipeline") => run_pipeline(&args, seed, &corpus_dir),
         Some("replay") => run_replay(&corpus_dir),
         other => {
-            eprintln!("usage: reo-fuzz <diff|faults|pipeline|replay> [--seconds N] [--seed S] [--corpus DIR]; got {other:?}");
+            eprintln!("unknown command {other:?}\n{USAGE}");
             false
         }
     };

@@ -1,4 +1,4 @@
-//! The differential harness: one scenario, the whole 10-mode grid.
+//! The differential harness: one scenario, the whole 8-mode grid.
 //!
 //! Every generated case runs under each mode of [`mode_grid`] with the
 //! case's driver; the resulting [`Observation`]s are normalized according
@@ -34,8 +34,6 @@ pub fn mode_grid() -> Vec<(&'static str, Mode)> {
             },
         ),
         ("part", Mode::partitioned()),
-        ("part-2", Mode::partitioned_with_workers(2)),
-        ("part-auto", Mode::partitioned_auto()),
         ("comp", Mode::compiled()),
         ("comp-part", Mode::compiled_partitioned()),
     ]
@@ -378,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn the_grid_is_the_documented_ten() {
-        assert_eq!(mode_grid().len(), 10);
+    fn the_grid_is_the_documented_eight() {
+        assert_eq!(mode_grid().len(), 8);
     }
 }

@@ -10,7 +10,7 @@
 //!    Every scenario is constructed together with a driving script the
 //!    generator can prove live, so a timeout is evidence, not noise.
 //! 2. [`diff`] — the differential harness: each scenario runs under all
-//!    ten runtime modes and both port front-ends; observations must
+//!    eight runtime modes and both port front-ends; observations must
 //!    agree modulo the scenario's documented scheduling freedom, every
 //!    value must arrive exactly once, and nothing may hang.
 //! 3. [`pipeline`] — a front-end fuzzer feeding mutated and synthetic

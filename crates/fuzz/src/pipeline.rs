@@ -68,7 +68,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The representative mode slice for pipeline fuzzing: the three distinct
 /// compilation strategies (monolithic elaboration, lazy medium automata,
-/// whole-region lowering). Running all ten would only re-lower the same
+/// whole-region lowering). Running all eight would only re-lower the same
 /// automata; the grid belongs to the differential harness.
 fn build_modes() -> [(&'static str, Mode); 3] {
     [

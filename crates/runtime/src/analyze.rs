@@ -48,7 +48,7 @@ impl Connector {
     /// Statically analyse the connector at the given sizes: compose the
     /// instance (within `opts` budgets) and inspect the reachable space.
     ///
-    /// Uses the same instantiation path as [`Connector::connect`], so the
+    /// Uses the same instantiation path as [`crate::SessionSpec::connect`], so the
     /// analysed artifact is exactly what would run.
     pub fn analyze(
         &self,

@@ -12,9 +12,8 @@
 //!   composition of the medium automata at `connect` time.
 //! * [`Mode::Jit`] — the new approach with just-in-time composition.
 //! * [`Mode::JitPartitioned`] — JIT plus the partitioning optimization of
-//!   reference \[32\], scheduled by [`Workers`]: caller-thread pumping,
-//!   a static fire-worker pool, or an adaptive one
-//!   ([`Mode::partitioned_auto`]).
+//!   reference \[32\]: one engine per synchronous region, with each task
+//!   pumping the links its own operations may have enabled.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,39 +34,9 @@ use crate::compiled::CompiledCore;
 use crate::engine::{Engine, EngineStats, PortMap};
 use crate::error::RuntimeError;
 use crate::jit::JitCore;
-use crate::partition::{partition, partition_with_opts, Partitioned, RegionEngine};
+use crate::partition::{partition, RegionEngine};
 use crate::port::{Backend, Inport, Outport};
 use crate::reconfig::{self, Change, ReconfigShared, ReconfigState};
-
-/// Start the fire-worker pool selected by `workers` (shared by both
-/// partitioned modes).
-fn spawn_partition_workers(parts: &Arc<Partitioned>, workers: Workers) {
-    match workers {
-        Workers::Caller | Workers::Fixed(0) => {}
-        Workers::Fixed(n) => parts.spawn_workers(n),
-        Workers::Auto => {
-            let n = parts.auto_worker_count();
-            parts.spawn_workers_adaptive(n);
-        }
-    }
-}
-
-/// Fire-worker scheduling of a partitioned connector (see
-/// [`crate::partition`] for the protocol).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Workers {
-    /// Caller-thread scheduler: every task pumps the links bordering its
-    /// own region after each of its operations.
-    Caller,
-    /// Static pool of exactly `n` fire workers (`Fixed(0)` ≡ `Caller`).
-    /// The explicit override for when the adaptive sizing is wrong.
-    Fixed(usize),
-    /// Size the pool from `available_parallelism()`, the region count and
-    /// the link count, and let idle workers retire down to one
-    /// (quiescence-based shrink). A connector with no cross-region links
-    /// spawns no workers at all.
-    Auto,
-}
 
 /// Execution mode (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,11 +51,10 @@ pub enum Mode {
         cache: CachePolicy,
     },
     /// Partitioned JIT: one engine per synchronous region, cut fifos as
-    /// links, and the region-owned kick/steal scheduler of
-    /// [`crate::partition`] — with the scheduler selected by [`Workers`].
+    /// links, pumped on the caller thread by the region-owned kicks of
+    /// [`crate::partition`].
     JitPartitioned {
         cache: CachePolicy,
-        workers: Workers,
     },
     /// AOT composition lowered to a flat stepping program
     /// ([`crate::compiled::CompiledCore`]): register bytecode instead of
@@ -98,9 +66,7 @@ pub enum Mode {
     /// region: each region's product is lowered at `connect` time and the
     /// regions exchange values over the same batched links as
     /// [`Mode::JitPartitioned`].
-    CompiledPartitioned {
-        workers: Workers,
-    },
+    CompiledPartitioned,
 }
 
 impl Mode {
@@ -111,28 +77,10 @@ impl Mode {
         }
     }
 
-    /// Partitioned JIT with the caller-thread scheduler.
+    /// Partitioned JIT (links pumped on the caller thread).
     pub fn partitioned() -> Self {
         Mode::JitPartitioned {
             cache: CachePolicy::Unbounded,
-            workers: Workers::Caller,
-        }
-    }
-
-    /// Partitioned JIT with a static pool of `workers` fire workers.
-    pub fn partitioned_with_workers(workers: usize) -> Self {
-        Mode::JitPartitioned {
-            cache: CachePolicy::Unbounded,
-            workers: Workers::Fixed(workers),
-        }
-    }
-
-    /// Partitioned JIT with an adaptively sized, quiescence-shrinking
-    /// fire-worker pool (see [`Workers::Auto`]).
-    pub fn partitioned_auto() -> Self {
-        Mode::JitPartitioned {
-            cache: CachePolicy::Unbounded,
-            workers: Workers::Auto,
         }
     }
 
@@ -146,11 +94,9 @@ impl Mode {
         Mode::Compiled { simplify: true }
     }
 
-    /// Partitioned compiled mode with the caller-thread scheduler.
+    /// Partitioned compiled mode (links pumped on the caller thread).
     pub fn compiled_partitioned() -> Self {
-        Mode::CompiledPartitioned {
-            workers: Workers::Caller,
-        }
+        Mode::CompiledPartitioned
     }
 
     pub fn is_parametrized(&self) -> bool {
@@ -187,7 +133,7 @@ pub struct Connector {
 }
 
 /// Fluent entry point: `Connector::builder(&program, "Buf").mode(..)
-/// .limits(..).build()`. [`Connector::compile`] is a thin wrapper over it.
+/// .limits(..).build()`.
 ///
 /// Defaults: [`Mode::jit`] and [`Limits::default`].
 pub struct ConnectorBuilder<'p> {
@@ -218,7 +164,7 @@ impl ConnectorBuilder<'_> {
 
     /// Compile. For parametrized modes this performs the compile-time
     /// share now; for the existing approach compilation must wait for N
-    /// and happens in [`Connector::connect`].
+    /// and happens when a session connects ([`SessionSpec::connect`]).
     pub fn build(self) -> Result<Connector, RuntimeError> {
         let compiled = if self.mode.is_parametrized() {
             Some(compile(self.program, &self.name)?)
@@ -246,29 +192,6 @@ impl Connector {
             mode: Mode::jit(),
             limits: Limits::default(),
         }
-    }
-
-    /// Compile `name` from `program` for the given mode — shorthand for
-    /// [`Connector::builder`] with defaults.
-    #[deprecated(note = "use `Connector::builder(program, name).mode(mode).build()`")]
-    pub fn compile(program: &Program, name: &str, mode: Mode) -> Result<Self, RuntimeError> {
-        Self::builder(program, name).mode(mode).build()
-    }
-
-    /// Compile with explicit limits — shorthand for [`Connector::builder`].
-    #[deprecated(
-        note = "use `Connector::builder(program, name).mode(mode).limits(limits).build()`"
-    )]
-    pub fn compile_with_limits(
-        program: &Program,
-        name: &str,
-        mode: Mode,
-        limits: Limits,
-    ) -> Result<Self, RuntimeError> {
-        Self::builder(program, name)
-            .mode(mode)
-            .limits(limits)
-            .build()
     }
 
     pub fn name(&self) -> &str {
@@ -301,17 +224,6 @@ impl Connector {
             reconfigurable: false,
             watchdog: None,
         }
-    }
-
-    /// Instantiate for concrete array sizes and build the engine(s).
-    ///
-    /// `sizes` gives the length per array parameter; scalar parameters
-    /// default to 1 and may be omitted.
-    #[deprecated(
-        note = "use `Connector::session()` — e.g. `c.session().replicate(\"prod\", n).connect()`"
-    )]
-    pub fn connect(&self, sizes: &[(&str, usize)]) -> Result<Session, RuntimeError> {
-        self.connect_impl(sizes, false, None)
     }
 
     fn connect_impl(
@@ -400,7 +312,7 @@ impl Connector {
         };
 
         let backend = if reconfigurable {
-            self.reconfigurable_backend(instance, &mut alloc, &layout)?
+            self.reconfigurable_backend(instance, &layout)?
         } else {
             self.static_backend(instance, &alloc, &layout)?
         };
@@ -487,8 +399,8 @@ impl Connector {
         })
     }
 
-    /// The engine(s) of a non-reconfigurable session (the historical
-    /// `connect` path, untraced cores, dense single-engine port maps).
+    /// The engine(s) of a non-reconfigurable session (untraced cores,
+    /// dense single-engine port maps).
     fn static_backend(
         &self,
         instance: ConnectorInstance,
@@ -534,34 +446,34 @@ impl Connector {
                     Store::new(layout),
                 )))
             }
-            Mode::JitPartitioned { cache, workers } => {
-                let parts: Arc<Partitioned> = Arc::new(partition(
-                    instance.automata,
-                    alloc.port_count(),
-                    layout,
-                    cache,
-                    self.limits.expansion_budget,
-                )?);
-                // Deterministic initial arming (tokens reach link heads)
-                // before any worker can race it.
-                parts.pump();
-                spawn_partition_workers(&parts, workers);
-                Backend::Multi(parts)
+            Mode::JitPartitioned { cache } => {
+                self.partitioned_backend(instance, layout, RegionEngine::Jit(cache), false)?
             }
-            Mode::CompiledPartitioned { workers } => {
-                let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
-                    instance.automata,
-                    alloc.port_count(),
-                    layout,
-                    RegionEngine::Compiled(self.limits.product),
-                    self.limits.expansion_budget,
-                    false,
-                )?);
-                parts.pump();
-                spawn_partition_workers(&parts, workers);
-                Backend::Multi(parts)
+            Mode::CompiledPartitioned => {
+                let engine = RegionEngine::Compiled(self.limits.product);
+                self.partitioned_backend(instance, layout, engine, false)?
             }
         })
+    }
+
+    /// The region engines and links of a partitioned session, armed
+    /// before any task runs (initial tokens reach their link heads).
+    fn partitioned_backend(
+        &self,
+        instance: ConnectorInstance,
+        layout: &MemLayout,
+        engine: RegionEngine,
+        traced: bool,
+    ) -> Result<Backend, RuntimeError> {
+        let parts = partition(
+            instance.automata,
+            layout,
+            engine,
+            self.limits.expansion_budget,
+            traced,
+        )?;
+        parts.pump();
+        Ok(Backend::Multi(Arc::new(parts)))
     }
 
     /// The engine(s) of a reconfigurable session: every core is
@@ -574,35 +486,15 @@ impl Connector {
     fn reconfigurable_backend(
         &self,
         instance: ConnectorInstance,
-        alloc: &mut PortAllocator,
         layout: &MemLayout,
     ) -> Result<Backend, RuntimeError> {
         Ok(match self.mode {
-            Mode::JitPartitioned { cache, workers } => {
-                let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
-                    instance.automata,
-                    alloc.port_count(),
-                    layout,
-                    RegionEngine::Jit(cache),
-                    self.limits.expansion_budget,
-                    true,
-                )?);
-                parts.pump();
-                spawn_partition_workers(&parts, workers);
-                Backend::Multi(parts)
+            Mode::JitPartitioned { cache } => {
+                self.partitioned_backend(instance, layout, RegionEngine::Jit(cache), true)?
             }
-            Mode::CompiledPartitioned { workers } => {
-                let parts: Arc<Partitioned> = Arc::new(partition_with_opts(
-                    instance.automata,
-                    alloc.port_count(),
-                    layout,
-                    RegionEngine::Compiled(self.limits.product),
-                    self.limits.expansion_budget,
-                    true,
-                )?);
-                parts.pump();
-                spawn_partition_workers(&parts, workers);
-                Backend::Multi(parts)
+            Mode::CompiledPartitioned => {
+                let engine = RegionEngine::Compiled(self.limits.product);
+                self.partitioned_backend(instance, layout, engine, true)?
             }
             mode => {
                 let starts: Vec<StateId> = instance.automata.iter().map(|a| a.initial()).collect();
@@ -878,16 +770,6 @@ impl ConnectorHandle {
         }
     }
 
-    /// Live fire workers pumping this connector's links right now (0 for
-    /// the single-engine modes and the caller-thread scheduler; an
-    /// adaptive pool shrinks this while quiescent).
-    pub fn worker_count(&self) -> usize {
-        match &self.backend {
-            Backend::Single(_) => 0,
-            Backend::Multi(m) => m.worker_count(),
-        }
-    }
-
     /// Whether this session was connected with
     /// [`SessionSpec::reconfigurable`].
     pub fn is_reconfigurable(&self) -> bool {
@@ -1032,6 +914,53 @@ fn detach_blocking(
                 std::thread::sleep(Duration::from_micros(500));
             }
             Err(e) => return Err(e),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn backend_refs(handle: &ConnectorHandle) -> usize {
+        match &handle.backend {
+            Backend::Single(e) => Arc::strong_count(e),
+            Backend::Multi(m) => Arc::strong_count(m),
+        }
+    }
+
+    /// Re-typing a port moves its backend reference instead of cloning
+    /// it: once every typed port and the session are gone, the handle is
+    /// the backend's only owner, so the session's engines can be freed.
+    #[test]
+    fn typed_ports_release_the_backend_on_drop() {
+        let program = reo_dsl::parse_program(
+            "P(a[];b[]) = prod (i:1..#a) Sync(a[i];m[i])
+               mult prod (i:1..#a) Fifo1(m[i];n[i])
+               mult prod (i:1..#a) Sync(n[i];b[i])",
+        )
+        .unwrap();
+        for mode in [Mode::jit(), Mode::partitioned()] {
+            let connector = Connector::builder(&program, "P")
+                .mode(mode)
+                .build()
+                .unwrap();
+            let mut session = connector
+                .session()
+                .replicate("a", 2)
+                .replicate("b", 2)
+                .connect()
+                .unwrap();
+            let handle = session.handle();
+            let txs = session.typed_outports::<i64>("a").unwrap();
+            let rxs = session.typed_inports::<i64>("b").unwrap();
+            for (i, (tx, rx)) in txs.iter().zip(&rxs).enumerate() {
+                tx.send(i as i64).unwrap();
+                assert_eq!(rx.recv().unwrap(), i as i64);
+            }
+            drop((txs, rxs, session));
+            handle.close();
+            assert_eq!(backend_refs(&handle), 1, "{mode:?} leaked its backend");
         }
     }
 }

@@ -252,22 +252,17 @@ impl PendingTable {
 ///   anything above 1 is amortization the old one-value-per-hold
 ///   protocol could not express.
 ///
-/// The last three counters belong to the **partitioned scheduler**, not
+/// The last two counters belong to the **partitioned scheduler**, not
 /// to any single engine; they are zero in the single-engine modes and
 /// filled in by the partition when aggregating:
 ///
 /// * `kicks` — kick requests that named at least one cross-region link
 ///   *and went through the kick machinery*. Regions bordering exactly
 ///   one link take the kick-free fast path (they pump their own link
-///   inline) and do not count. Under the PR 3 global-generation
-///   scheduler every counted kick bumped one shared counter and could
-///   wake a worker, so `kicks` doubles as the *global-generation
-///   baseline* for `kick_wakeups`.
-/// * `kick_wakeups` — times a fire worker actually woke from its
-///   per-worker kick-queue condvar to find work. Per-link deduplication
-///   and batch draining keep this far below `kicks` under load.
-/// * `steals` — links pumped by a worker that does not own them (taken
-///   from another worker's kick queue at idle time).
+///   inline) and do not count.
+/// * `steals` — always 0. Links are pumped on the caller thread, so no
+///   pump is ever taken over by another thread; the field is kept so
+///   existing readers of the stats keep compiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Global execution steps fired (the Fig. 12 metric).
@@ -301,14 +296,10 @@ pub struct EngineStats {
     pub batched_values: u64,
     /// Scheduler: kick requests naming ≥ 1 link that went through the
     /// kick machinery (single-link-border regions pump inline and do not
-    /// count) — also the PR 3 global-generation wakeup baseline (see
-    /// type docs). 0 outside partitioned mode.
+    /// count). 0 outside partitioned mode.
     pub kicks: u64,
-    /// Scheduler: fire-worker wakeups out of kick-queue waits. 0 without
-    /// a worker pool.
-    pub kick_wakeups: u64,
-    /// Scheduler: links pumped by a non-owner worker. 0 without a worker
-    /// pool.
+    /// Always 0: links are pumped on the caller thread, so nothing is
+    /// stolen (see type docs).
     pub steals: u64,
 }
 
@@ -324,7 +315,6 @@ impl EngineStats {
         self.batch_moves += other.batch_moves;
         self.batched_values += other.batched_values;
         self.kicks += other.kicks;
-        self.kick_wakeups += other.kick_wakeups;
         self.steals += other.steals;
     }
 }
@@ -564,7 +554,6 @@ impl Engine {
             batch_moves: inner.batch_moves,
             batched_values: inner.batched_values,
             kicks: 0,
-            kick_wakeups: 0,
             steals: 0,
         }
     }
@@ -794,8 +783,8 @@ impl Engine {
     /// like a typed firing error. The core's state may be torn mid-step —
     /// poisoning makes that unobservable. Containing the panic at the
     /// step boundary protects *whichever* thread drove the loop: a task
-    /// calling `register_*`, a fire worker pumping links, or an executor
-    /// polling a future.
+    /// calling `register_*`, a task pumping links, or an executor polling
+    /// a future.
     fn fire_loop(&self, inner: &mut EngineInner) {
         if inner.poisoned.is_some() || inner.closed {
             return;

@@ -1,7 +1,7 @@
 //! Test-only fault injection: panic a firing on demand.
 //!
 //! The fault-injection fuzz harness (`reo-fuzz faults`) needs to make a
-//! fire worker panic *mid-protocol* — from inside `try_step`, with the
+//! firing panic *mid-protocol* — from inside `try_step`, with the
 //! engine lock held and peers parked — to prove the containment layer
 //! (catch → poison → wake) holds under the worst possible interleavings.
 //! A `cfg(test)` hook cannot reach across crates into the fuzz binary, so

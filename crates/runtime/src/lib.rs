@@ -10,13 +10,10 @@
 //! * **just-in-time composition** with an unbounded or bounded-LRU state
 //!   cache, and
 //! * **partitioned just-in-time composition** (the optimization of the
-//!   paper's reference \[32\], which fixes Fig. 13's finding 3) — with
-//!   the caller-thread scheduler ([`Mode::partitioned`]), a static
-//!   fire-worker pool ([`Mode::partitioned_with_workers`]), or an
-//!   adaptively sized, quiescence-shrinking pool
-//!   ([`Mode::partitioned_auto`]) pumping the cross-region links through
-//!   per-link kick queues with work stealing. Link pumping is *batched*
-//!   (one engine-lock hold per side moves a whole backlog) and
+//!   paper's reference \[32\], which fixes Fig. 13's finding 3;
+//!   [`Mode::partitioned`]) — each task pumps, on its own thread, the
+//!   cross-region links its operations may have enabled. Link pumping is
+//!   *batched* (one engine-lock hold per side moves a whole backlog) and
 //!   single-link-border regions skip the kick machinery entirely (see
 //!   [`partition`]).
 //!
@@ -89,7 +86,6 @@ pub use cache::{CachePolicy, CacheStats};
 pub use compiled::CompiledCore;
 pub use connector::{
     Branch, Connector, ConnectorBuilder, ConnectorHandle, Limits, Mode, Session, SessionSpec,
-    Workers,
 };
 pub use engine::EngineStats;
 pub use error::RuntimeError;

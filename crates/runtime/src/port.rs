@@ -52,8 +52,8 @@ use crate::partition::Partitioned;
 /// naming its own port, so only the links bordering that port's region
 /// are considered: none (free return), exactly one (the kick-free fast
 /// path pumps it inline, batched, without touching the kick machinery),
-/// or several (pumped inline with the caller-thread scheduler, enqueued
-/// onto their owning fire workers otherwise — see [`Partitioned::kick`]).
+/// or several (a counted kick whose cascade runs inline — see
+/// [`Partitioned::kick`]).
 #[derive(Clone)]
 pub(crate) enum Backend {
     Single(Arc<Engine>),
@@ -104,14 +104,12 @@ impl Backend {
             Backend::Multi(m) => {
                 let e = m.engine_for(p);
                 e.register_send(p, v)?;
-                // One-shot probe: pump *all* links inline even with a
-                // worker pool — an asynchronous kick might not be serviced
-                // before the probe, which would spuriously retract an
-                // operation that caller-thread partitioned mode completes.
-                // The full sweep (not the targeted cascade) is required: a
-                // value parked behind an unserviced kick on an *upstream*
-                // link of a chain is unreachable from this port's adjacent
-                // links, since the cascade only expands on progress.
+                // One-shot probe: pump *all* links inline. The full sweep
+                // (not the targeted cascade) is required: a value whose
+                // pump on an *upstream* link of a chain was delegated to a
+                // concurrent holder is unreachable from this port's
+                // adjacent links, since the cascade only expands on
+                // progress.
                 m.pump();
                 let r = e.finish_or_retract_send(p);
                 m.kick(p);
@@ -129,9 +127,8 @@ impl Backend {
             Backend::Multi(m) => {
                 let e = m.engine_for(p);
                 e.register_recv(p)?;
-                // See try_send: the probe must not race the worker pool,
-                // and must sweep the whole link set, not just this
-                // region's border.
+                // See try_send: the probe must sweep the whole link set,
+                // not just this region's border.
                 m.pump();
                 let r = e.finish_or_retract_recv(p);
                 m.kick(p);
@@ -289,29 +286,54 @@ fn deadline_in(timeout: Duration) -> Option<Instant> {
     Some(Instant::now() + timeout)
 }
 
+/// The untyped core of an [`Outport`] or [`Inport`]: the backend plus the
+/// port's vertex. It owns the port's registration, so re-typing a handle
+/// moves it across instead of cloning the backend.
+pub(crate) struct PortHandle {
+    backend: Backend,
+    port: PortId,
+}
+
+/// Hangup on drop (phaser-style deregistration): a departed task can never
+/// offer again, so transitions synchronizing this port are dead from here
+/// on. Peers left with only dead transitions are woken with
+/// [`RuntimeError::Hangup`] instead of blocking forever. Values already
+/// *inside* the connector (buffers, link queues) still deliver — only
+/// after they drain does deadness propagate downstream. A departed
+/// consumer frees its rendezvous partners immediately: a producer blocked
+/// on (or later attempting) a send that requires this port gets
+/// [`RuntimeError::Hangup`].
+impl Drop for PortHandle {
+    fn drop(&mut self) {
+        self.backend.hangup(self.port);
+    }
+}
+
 /// Where a task sends messages into the connector (`void send(Object o)`).
 ///
 /// `T` is the payload type; the default `Value` is the untyped handle with
 /// the paper's original semantics. Obtain typed handles from
-/// [`crate::Session::typed_outports`] or via [`Outport::typed`].
+/// [`crate::Session::typed_outports`] or via [`Outport::typed`]. Dropping
+/// the handle hangs its port up: peers left with only dead transitions
+/// get [`RuntimeError::Hangup`] instead of blocking forever.
 pub struct Outport<T = Value> {
-    pub(crate) backend: Backend,
-    pub(crate) port: PortId,
-    pub(crate) _payload: PhantomData<fn(T) -> T>,
+    handle: PortHandle,
+    _payload: PhantomData<fn(T) -> T>,
 }
 
 impl<T: IntoValue> Outport<T> {
     pub(crate) fn new(backend: Backend, port: PortId) -> Self {
         Outport {
-            backend,
-            port,
+            handle: PortHandle { backend, port },
             _payload: PhantomData,
         }
     }
 
     /// Blocking send: returns once the connector has accepted the message.
     pub fn send(&self, v: impl Into<T>) -> Result<(), RuntimeError> {
-        self.backend.send(self.port, v.into().into_value(), None)
+        self.handle
+            .backend
+            .send(self.handle.port, v.into().into_value(), None)
     }
 
     /// Non-blocking send: `Ok(true)` if the connector accepted the message
@@ -321,7 +343,9 @@ impl<T: IntoValue> Outport<T> {
     /// is consumed either way — retry with a clone or a fresh value
     /// ([`Value`] clones are cheap, bulk data is `Arc`-shared).
     pub fn try_send(&self, v: impl Into<T>) -> Result<bool, RuntimeError> {
-        self.backend.try_send(self.port, v.into().into_value())
+        self.handle
+            .backend
+            .try_send(self.handle.port, v.into().into_value())
     }
 
     /// Deadline-bounded send: blocks up to `timeout`, then retracts and
@@ -329,8 +353,11 @@ impl<T: IntoValue> Outport<T> {
     /// accepted, so retrying cannot duplicate a message; as with
     /// [`Outport::try_send`], retry with a clone or a fresh value.
     pub fn send_timeout(&self, v: impl Into<T>, timeout: Duration) -> Result<(), RuntimeError> {
-        self.backend
-            .send(self.port, v.into().into_value(), deadline_in(timeout))
+        self.handle.backend.send(
+            self.handle.port,
+            v.into().into_value(),
+            deadline_in(timeout),
+        )
     }
 
     /// Async send: resolves once the connector has accepted the message.
@@ -344,8 +371,8 @@ impl<T: IntoValue> Outport<T> {
     /// already taken by a transition counts as delivered (exactly once).
     pub fn send_async(&self, v: impl Into<T>) -> SendFuture<'_> {
         SendFuture {
-            backend: &self.backend,
-            port: self.port,
+            backend: &self.handle.backend,
+            port: self.handle.port,
             value: Some(v.into().into_value()),
             done: false,
         }
@@ -365,16 +392,17 @@ impl<T: IntoValue> Outport<T> {
         cx: &mut Context<'_>,
         value: &mut Option<Value>,
     ) -> Poll<Result<(), RuntimeError>> {
-        self.backend.poll_send(self.port, value, cx)
+        self.handle.backend.poll_send(self.handle.port, value, cx)
     }
 
     /// Re-type the handle; the connector itself is data-agnostic, so this
     /// only changes what the `send` signature accepts.
     pub fn typed<U: IntoValue>(self) -> Outport<U> {
-        // Re-typing is not a departure: defuse this handle's hangup-on-
-        // drop, the new handle carries the registration on.
-        let this = std::mem::ManuallyDrop::new(self);
-        Outport::new(this.backend.clone(), this.port)
+        // Re-typing is not a departure: the registration moves across.
+        Outport {
+            handle: self.handle,
+            _payload: PhantomData,
+        }
     }
 
     /// Back to the untyped handle.
@@ -384,7 +412,7 @@ impl<T: IntoValue> Outport<T> {
 
     /// The underlying vertex (diagnostics).
     pub fn id(&self) -> PortId {
-        self.port
+        self.handle.port
     }
 }
 
@@ -393,11 +421,10 @@ impl<T: IntoValue> Outport<T> {
 /// `T` is the payload type; the default `Value` is the untyped handle.
 /// Typed receives unwrap the delivered [`Value`] via [`FromValue`] and
 /// report a [`RuntimeError::TypeMismatch`] (carrying the value) on the
-/// wrong shape.
+/// wrong shape. Dropping the handle hangs its port up, as for [`Outport`].
 pub struct Inport<T = Value> {
-    pub(crate) backend: Backend,
-    pub(crate) port: PortId,
-    pub(crate) _payload: PhantomData<fn(T) -> T>,
+    handle: PortHandle,
+    _payload: PhantomData<fn(T) -> T>,
 }
 
 fn convert<T: FromValue>(v: Value) -> Result<T, RuntimeError> {
@@ -410,29 +437,36 @@ fn convert<T: FromValue>(v: Value) -> Result<T, RuntimeError> {
 impl<T: FromValue> Inport<T> {
     pub(crate) fn new(backend: Backend, port: PortId) -> Self {
         Inport {
-            backend,
-            port,
+            handle: PortHandle { backend, port },
             _payload: PhantomData,
         }
     }
 
     /// Blocking receive: returns the delivered message.
     pub fn recv(&self) -> Result<T, RuntimeError> {
-        convert(self.backend.recv(self.port, None)?)
+        convert(self.handle.backend.recv(self.handle.port, None)?)
     }
 
     /// Non-blocking receive: `Ok(Some(v))` if a delivery was ready within
     /// one engine step, `Ok(None)` if the operation would have blocked
     /// (it is retracted; the port is immediately reusable).
     pub fn try_recv(&self) -> Result<Option<T>, RuntimeError> {
-        self.backend.try_recv(self.port)?.map(convert).transpose()
+        self.handle
+            .backend
+            .try_recv(self.handle.port)?
+            .map(convert)
+            .transpose()
     }
 
     /// Deadline-bounded receive: blocks up to `timeout`, then retracts and
     /// returns [`RuntimeError::Timeout`]. A delivery that races the
     /// deadline is still handed out — never dropped.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RuntimeError> {
-        convert(self.backend.recv(self.port, deadline_in(timeout))?)
+        convert(
+            self.handle
+                .backend
+                .recv(self.handle.port, deadline_in(timeout))?,
+        )
     }
 
     /// Iterate over deliveries until the connector closes (or a typed
@@ -457,8 +491,8 @@ impl<T: FromValue> Inport<T> {
     /// the port's slot and satisfies the next receive on this port.
     pub fn recv_async(&self) -> RecvFuture<'_, T> {
         RecvFuture {
-            backend: &self.backend,
-            port: self.port,
+            backend: &self.handle.backend,
+            port: self.handle.port,
             registered: false,
             done: false,
             _payload: PhantomData,
@@ -476,7 +510,11 @@ impl<T: FromValue> Inport<T> {
         cx: &mut Context<'_>,
         registered: &mut bool,
     ) -> Poll<Result<T, RuntimeError>> {
-        match self.backend.poll_recv(self.port, registered, cx) {
+        match self
+            .handle
+            .backend
+            .poll_recv(self.handle.port, registered, cx)
+        {
             Poll::Ready(r) => Poll::Ready(r.and_then(convert)),
             Poll::Pending => Poll::Pending,
         }
@@ -485,8 +523,10 @@ impl<T: FromValue> Inport<T> {
     /// Re-type the handle: subsequent receives unwrap into `U`.
     pub fn typed<U: FromValue>(self) -> Inport<U> {
         // Not a departure — see `Outport::typed`.
-        let this = std::mem::ManuallyDrop::new(self);
-        Inport::new(this.backend.clone(), this.port)
+        Inport {
+            handle: self.handle,
+            _payload: PhantomData,
+        }
     }
 
     /// Back to the untyped handle.
@@ -495,7 +535,7 @@ impl<T: FromValue> Inport<T> {
     }
 
     pub fn id(&self) -> PortId {
-        self.port
+        self.handle.port
     }
 }
 
@@ -504,7 +544,7 @@ impl Inport<Value> {
     /// delivery into `U` without re-typing the port. Handy where handles
     /// arrive untyped (e.g. [`crate::TaskCtx`]) but payloads are known.
     pub fn recv_as<U: FromValue>(&self) -> Result<U, RuntimeError> {
-        convert(self.backend.recv(self.port, None)?)
+        convert(self.handle.backend.recv(self.handle.port, None)?)
     }
 }
 
@@ -658,36 +698,14 @@ impl<T> std::fmt::Debug for RecvFuture<'_, T> {
     }
 }
 
-/// Hangup on drop (phaser-style deregistration): a departed producer can
-/// never offer again, so transitions synchronizing this port are dead
-/// from here on. Peers left with only dead transitions are woken with
-/// [`RuntimeError::Hangup`] instead of blocking forever. Values already
-/// *inside* the connector (buffers, link queues) still deliver — only
-/// after they drain does deadness propagate downstream.
-impl<T> Drop for Outport<T> {
-    fn drop(&mut self) {
-        self.backend.hangup(self.port);
-    }
-}
-
-/// Hangup on drop — see [`Outport`]'s `Drop`. A departed consumer frees
-/// its rendezvous partners immediately: a producer blocked on (or later
-/// attempting) a send that requires this port gets
-/// [`RuntimeError::Hangup`].
-impl<T> Drop for Inport<T> {
-    fn drop(&mut self) {
-        self.backend.hangup(self.port);
-    }
-}
-
 impl<T> std::fmt::Debug for Outport<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Outport({})", self.port)
+        write!(f, "Outport({})", self.handle.port)
     }
 }
 
 impl<T> std::fmt::Debug for Inport<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Inport({})", self.port)
+        write!(f, "Inport({})", self.handle.port)
     }
 }

@@ -273,7 +273,7 @@ pub(crate) fn single_core_traced(
                 Err(e) => return Err(e),
             }
         }
-        Mode::JitPartitioned { .. } | Mode::CompiledPartitioned { .. } => {
+        Mode::JitPartitioned { .. } | Mode::CompiledPartitioned => {
             unreachable!("partitioned sessions splice through Partitioned::splice")
         }
     })

@@ -639,27 +639,24 @@ mod tests {
     use super::*;
 
     fn fifo_scenario() -> Scenario {
+        // The two sends share port `a[0]`, so they go in separate
+        // batches: within one batch the threads driver runs them
+        // concurrently, and which value enters the pipeline first would
+        // be a race.
+        let send = |value| Step::Batch {
+            ops: vec![Op::Send {
+                port: PortRef::Param {
+                    name: "a".into(),
+                    index: 0,
+                },
+                value,
+            }],
+            quorum: None,
+        };
         let mut s = Scenario::new("P(a;b) = Fifo1(a;m) mult Fifo1(m;b)", "P");
         s.steps = vec![
-            Step::Batch {
-                ops: vec![
-                    Op::Send {
-                        port: PortRef::Param {
-                            name: "a".into(),
-                            index: 0,
-                        },
-                        value: 7,
-                    },
-                    Op::Send {
-                        port: PortRef::Param {
-                            name: "a".into(),
-                            index: 0,
-                        },
-                        value: 8,
-                    },
-                ],
-                quorum: None,
-            },
+            send(7),
+            send(8),
             Step::Batch {
                 ops: vec![Op::Recv {
                     port: PortRef::Param {
@@ -682,7 +679,8 @@ mod tests {
         assert_eq!(
             threads.results,
             vec![
-                vec![OpResult::Sent, OpResult::Sent],
+                vec![OpResult::Sent],
+                vec![OpResult::Sent],
                 vec![OpResult::Received(7)],
             ]
         );

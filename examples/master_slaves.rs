@@ -12,7 +12,7 @@
 //! `try_recv` polling loop, overlapping scatter and gather.
 //!
 //! Run: `cargo run --example master_slaves -- 5 jit`
-//! (modes: `jit`, `existing`, `partitioned`, `workers`)
+//! (modes: `jit`, `existing`, `partitioned`)
 
 use std::thread;
 
@@ -27,12 +27,6 @@ fn main() {
     let mode = match std::env::args().nth(2).as_deref() {
         Some("existing") => Mode::existing(),
         Some("partitioned") => Mode::partitioned(),
-        // Partitioned plus a fire-worker pool: cross-region propagation
-        // runs off the task threads (see `reo::runtime::partition`).
-        Some("workers") => Mode::partitioned_with_workers(2),
-        // Adaptive pool: min(available_parallelism, regions, links)
-        // workers, shrinking to one when the links are quiescent.
-        Some("auto") => Mode::partitioned_auto(),
         _ => Mode::jit(),
     };
 

@@ -51,7 +51,7 @@
 //! [`runtime`] for the polling-loop example.
 
 /// The long-form architecture guide, rendered from the repository's
-/// `docs/ARCHITECTURE.md`: crate map, the jit → partitioned → workers →
+/// `docs/ARCHITECTURE.md`: crate map, the jit → partitioned →
 /// region-owned scheduler progression, and the paper-to-module table.
 /// Included here so its examples compile and run as doctests of the
 /// facade.

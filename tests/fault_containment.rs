@@ -22,10 +22,10 @@ use std::time::{Duration, Instant};
 use reo::runtime::{CachePolicy, Connector, Mode};
 use reo::RuntimeError;
 
-/// The full 10-mode grid (mirrors `tests/mode_equivalence.rs`): fault
-/// containment is a per-backend property — the caller-thread JIT, the
-/// worker pool, and the compiled stepping programs each have their own
-/// firing path to protect.
+/// The full 8-mode grid (mirrors `tests/mode_equivalence.rs`): fault
+/// containment is a per-backend property — the single-engine cores, the
+/// partitioned regions, and the compiled stepping programs each have
+/// their own firing path to protect.
 fn modes() -> Vec<Mode> {
     vec![
         Mode::ExistingMonolithic { simplify: true },
@@ -36,8 +36,6 @@ fn modes() -> Vec<Mode> {
             cache: CachePolicy::BoundedLru { capacity: 1 },
         },
         Mode::partitioned(),
-        Mode::partitioned_with_workers(2),
-        Mode::partitioned_auto(),
         Mode::compiled(),
         Mode::compiled_partitioned(),
     ]

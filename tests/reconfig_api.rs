@@ -38,8 +38,6 @@ fn modes() -> Vec<Mode> {
             cache: CachePolicy::BoundedLru { capacity: 1 },
         },
         Mode::partitioned(),
-        Mode::partitioned_with_workers(2),
-        Mode::partitioned_auto(),
         Mode::compiled(),
         Mode::compiled_partitioned(),
     ]
@@ -260,72 +258,6 @@ fn concurrent_attaches_serialize_on_the_reconfig_lock() {
     assert!(wins >= 1, "at least one attach must win");
     assert_eq!(handle.epoch(), wins, "epoch counts successful splices only");
     handle.close();
-}
-
-/// Satellite regression: under `partitioned_auto` the adaptive pool
-/// retires idle workers down to one, and `worker_count` must report the
-/// *post-shrink* live count, not the spawn-time width.
-#[test]
-fn worker_count_tracks_adaptive_pool_shrink() {
-    const RELAY: &str = "P(a[];b[]) = prod (i:1..#a) Sync(a[i];m[i]) \
-        mult prod (i:1..#a) Fifo1(m[i];n[i]) \
-        mult prod (i:1..#a) Sync(n[i];b[i])";
-    let program = reo::dsl::parse_program(RELAY).unwrap();
-    let connector = Connector::builder(&program, "P")
-        .mode(Mode::partitioned_auto())
-        .build()
-        .unwrap();
-    let mut session = connector
-        .session()
-        .replicate("a", 4)
-        .replicate("b", 4)
-        .connect()
-        .unwrap();
-    let handle = session.handle();
-    assert!(
-        handle.link_count() >= 4,
-        "every channel contributes a cut link"
-    );
-
-    // Traffic wakes the pool, then silence lets it retire. Each relay
-    // channel buffers one value in its cut fifo, then the matching
-    // receiver drains it (a send and its recv rendezvous through the
-    // fifo, so buffer-then-drain needs no helper threads).
-    let txs = session.outports("a").unwrap();
-    let rxs = session.inports("b").unwrap();
-    for (i, tx) in txs.iter().enumerate() {
-        tx.send(Value::Int(i as i64)).unwrap();
-    }
-    for rx in &rxs {
-        rx.recv().unwrap();
-    }
-
-    // The idle-shrink timeout is 10 ms; give the pool a generous window.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while handle.worker_count() > 1 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    assert_eq!(
-        handle.worker_count(),
-        1,
-        "post-shrink live count must be reported"
-    );
-    handle.close();
-}
-
-/// The deprecated stringly entry points still work (they delegate to the
-/// builder path) — kept until the next breaking release.
-#[test]
-#[allow(deprecated)]
-fn deprecated_connect_and_compile_still_work() {
-    let program = reo::dsl::parse_program(MERGER).unwrap();
-    let connector = Connector::compile(&program, "M", Mode::jit()).unwrap();
-    let mut session = connector.connect(&[("src", 2)]).unwrap();
-    let txs = session.outports("src").unwrap();
-    let rx = session.typed_inport::<i64>("c").unwrap();
-    txs[0].send(Value::Int(5)).unwrap();
-    assert_eq!(rx.recv().unwrap(), 5);
-    session.handle().close();
 }
 
 /// One churn step of the random script below.
