@@ -286,9 +286,6 @@ mod tests {
 
     #[test]
     fn tiny_grid_produces_cells_and_summary() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         let config = Config {
             window: Duration::from_millis(40),
             ns: vec![2],

@@ -193,9 +193,6 @@ mod tests {
 
     #[test]
     fn cg_small_cell_measures_both_backends() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         let class = CgClass {
             name: "tiny",
             na: 80,
@@ -213,9 +210,6 @@ mod tests {
 
     #[test]
     fn lu_small_cell_measures_both_backends() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         let class = LuClass {
             name: "tiny",
             nx: 12,
@@ -232,9 +226,6 @@ mod tests {
 
     #[test]
     fn reo_steps_are_counted() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         let class = CgClass {
             name: "tiny",
             na: 60,

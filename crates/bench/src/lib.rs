@@ -25,14 +25,3 @@ pub mod json;
 pub mod scale;
 
 pub use cli::Args;
-
-/// Keeps the fault sweep's unit test apart from every other unit test
-/// that fires engines: the sweep arms the runtime's process-global
-/// panic hook, and a step fired by a concurrently running test would
-/// take that panic instead. The fault test holds the write side, the
-/// others share the read side.
-#[cfg(test)]
-pub(crate) fn engine_tests() -> &'static std::sync::RwLock<()> {
-    static LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
-    &LOCK
-}

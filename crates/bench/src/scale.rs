@@ -924,7 +924,7 @@ fn fault_cell(
             "panic" => {
                 // The very next firing panics inside the engine; the
                 // send that triggers it resolves `Poisoned` itself.
-                reo_runtime::fault::arm_panic_after_steps(0);
+                handle.arm_panic_after_steps(0);
                 let _ = tx.as_ref().expect("tx live").try_send(1);
             }
             "poison" => handle.poison("bench: scripted poison"),
@@ -932,7 +932,6 @@ fn fault_cell(
             other => unreachable!("unknown fault kind {other}"),
         }
         let (result, t_done) = waiter.join().expect("victim thread never panics");
-        reo_runtime::fault::disarm();
         handle.close();
 
         let expected = matches!(
@@ -1102,9 +1101,6 @@ mod tests {
 
     #[test]
     fn tiny_grid_produces_all_three_modes_and_stats() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         let config = Config {
             window: Duration::from_millis(50),
             ns: vec![2],
@@ -1126,9 +1122,6 @@ mod tests {
 
     #[test]
     fn disjoint_workload_beats_broadcast_baseline_in_miniature() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         // Even a small contended sweep must show targeted wakeups below
         // what broadcast would have issued.
         let config = Config {
@@ -1151,9 +1144,6 @@ mod tests {
 
     #[test]
     fn sequencer_workload_kicks_inline_in_miniature() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         // The multi-link-border workload: each sequencer region borders
         // two ring links, so its operations take the counted kick path,
         // and the kicking task runs the cascade inline — every
@@ -1179,9 +1169,6 @@ mod tests {
 
     #[test]
     fn relay_workload_is_kick_free_in_miniature() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         // Every relay region borders exactly one link: the kick-free fast
         // path must keep the kick counter at zero in every partitioned
         // mode while traces still flow (steps > 0 checked per cell).
@@ -1211,9 +1198,6 @@ mod tests {
 
     #[test]
     fn codegen_duel_runs_and_compiled_leads_in_miniature() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         // One family, short window: both cores must make real progress
         // and the lowered program must already be ahead of the
         // interpreter (the full-window BENCH run enforces the 3× floor).
@@ -1240,9 +1224,6 @@ mod tests {
 
     #[test]
     fn sessions_sweep_completes_with_precise_wakes_in_miniature() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         // A small fleet must deliver every value, keep the wake count
         // within the precision ceiling, and satisfy the sixth verdict.
         let config = Config {
@@ -1272,9 +1253,6 @@ mod tests {
 
     #[test]
     fn churn_sweep_survives_join_leave_in_miniature() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         // A short window across the full mode grid: every cell must
         // complete at least one join/leave cycle with exactly-once
         // delivery, satisfying the seventh verdict.
@@ -1301,9 +1279,6 @@ mod tests {
 
     #[test]
     fn fault_sweep_resolves_typed_errors_in_miniature() {
-        let _engines = crate::engine_tests()
-            .write()
-            .unwrap_or_else(|p| p.into_inner());
         // A few injections per (kind, mode) cell: every parked receive
         // must resolve to the expected typed error within the stranded
         // bound, satisfying the eighth verdict.
@@ -1333,9 +1308,6 @@ mod tests {
 
     #[test]
     fn burst_workload_beats_unbatched_lock_baseline_in_miniature() {
-        let _engines = crate::engine_tests()
-            .read()
-            .unwrap_or_else(|p| p.into_inner());
         // The deep-backlog workload: engine-lock acquisitions per moved
         // value must come in strictly below the unbatched seed protocol,
         // and batches must actually amortize (> 1 value per transfer).

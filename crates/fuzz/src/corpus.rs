@@ -380,6 +380,7 @@ fn known_shape(s: &str) -> &'static str {
         "router",
         "sequencer",
         "churn-merger",
+        "lane-drop",
         "fault-drop",
         "fault-panic",
         "fault-poison",

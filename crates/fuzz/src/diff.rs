@@ -13,7 +13,9 @@
 //! "cannot encode, use an interpreting mode" lowering error — that is a
 //! documented capability boundary, not a bug, and is skipped per mode.
 
-use reo_runtime::{run_scenario, Mode, Observation, OpResult};
+use std::collections::{HashMap, HashSet, VecDeque};
+
+use reo_runtime::{run_scenario, Mode, Observation, Op, OpResult, PortRef, Scenario, Step};
 
 use crate::gen::{Agreement, GenCase};
 
@@ -72,6 +74,10 @@ pub enum FindingKind {
     /// A panic escaped the runtime's containment into the harness — the
     /// fault-injection check's "zero aborts" assertion failed.
     PanicEscape,
+    /// A relay-shaped case observed something other than what the relay
+    /// oracle predicts from its script: a lane out of order, a value lost
+    /// or doubled, or a dropped lane not draining before `Hangup`.
+    OracleDivergence,
 }
 
 impl std::fmt::Display for Finding {
@@ -82,6 +88,7 @@ impl std::fmt::Display for Finding {
             FindingKind::ExactlyOnceViolation => "exactly-once violation",
             FindingKind::ErrorDisagreement => "error disagreement",
             FindingKind::PanicEscape => "panic escape",
+            FindingKind::OracleDivergence => "relay oracle divergence",
         };
         write!(f, "[{}] {}: {}", self.mode, kind, self.detail)
     }
@@ -190,8 +197,102 @@ fn has_timeout(obs: &Observation) -> bool {
         .any(|r| matches!(r, OpResult::TimedOut))
 }
 
+/// What the relay oracle expects of one scripted op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Expect {
+    Sent,
+    Received(i64),
+    /// A typed `Hangup`: the lane's producer dropped and its buffer ran dry.
+    Hangup,
+    /// A structural step (the port drop itself) completed.
+    Done,
+}
+
+impl Expect {
+    fn admits(self, got: &OpResult) -> bool {
+        match (self, got) {
+            (Expect::Sent, OpResult::Sent) | (Expect::Done, OpResult::Done) => true,
+            (Expect::Received(v), OpResult::Received(w)) => v == *w,
+            (Expect::Hangup, OpResult::Error(msg)) => msg.contains("hung up"),
+            _ => false,
+        }
+    }
+}
+
+/// The shapes whose lane `i` carries `a[i]` to `b[i]` in FIFO order.
+fn is_relay_shape(shape: &str) -> bool {
+    matches!(shape, "relay-grid" | "lane-drop")
+}
+
+/// The relay oracle: the result of every op of a relay-shaped script,
+/// computed from the script alone, independently of every runtime mode.
+/// Within a batch the sends go first; a receive on `b[i]` takes the
+/// oldest value sent on `a[i]`, or resolves `Hangup` once `a[i]` was
+/// dropped and nothing is left. `None` when the script is outside that
+/// model (another step kind, or a receive nothing could serve — a shrunk
+/// script, say).
+fn relay_oracle(scenario: &Scenario) -> Option<Vec<Vec<Expect>>> {
+    let lane = |port: &PortRef, want: &str| match port {
+        PortRef::Param { name, index } if name == want => Some(*index),
+        _ => None,
+    };
+    let mut lanes: HashMap<usize, VecDeque<i64>> = HashMap::new();
+    let mut dropped: HashSet<usize> = HashSet::new();
+    let mut out = Vec::with_capacity(scenario.steps.len());
+    for step in &scenario.steps {
+        match step {
+            Step::Batch { ops, quorum: None } => {
+                let mut got = vec![Expect::Done; ops.len()];
+                for (k, op) in ops.iter().enumerate() {
+                    if let Op::Send { port, value } = op {
+                        let i = lane(port, "a")?;
+                        lanes.entry(i).or_default().push_back(*value);
+                        got[k] = Expect::Sent;
+                    }
+                }
+                for (k, op) in ops.iter().enumerate() {
+                    if let Op::Recv { port } = op {
+                        let i = lane(port, "b")?;
+                        got[k] = match lanes.entry(i).or_default().pop_front() {
+                            Some(v) => Expect::Received(v),
+                            None if dropped.contains(&i) => Expect::Hangup,
+                            None => return None,
+                        };
+                    }
+                }
+                out.push(got);
+            }
+            Step::DropPort { port } => {
+                dropped.insert(lane(port, "a")?);
+                out.push(vec![Expect::Done]);
+            }
+            _ => return None,
+        }
+    }
+    Some(out)
+}
+
+/// The first op whose observed result the oracle does not admit.
+fn oracle_mismatch(oracle: &[Vec<Expect>], obs: &Observation) -> Option<String> {
+    for (k, (want, got)) in oracle.iter().zip(&obs.results).enumerate() {
+        if want.len() != got.len() || !want.iter().zip(got).all(|(w, g)| w.admits(g)) {
+            return Some(format!(
+                "step {k}: observed {got:?}, oracle expects {want:?}"
+            ));
+        }
+    }
+    None
+}
+
 /// Run `case` under every mode and compare. `Ok` means no finding.
+///
+/// Relay-shaped cases (`relay-grid`, `lane-drop`) are also checked
+/// against the relay oracle, which does not share any code with the
+/// runtime: every mode agreeing on a wrong order would still be caught.
 pub fn diff_case(case: &GenCase) -> Result<CaseOutcome, Finding> {
+    let oracle = is_relay_shape(case.shape)
+        .then(|| relay_oracle(&case.scenario))
+        .flatten();
     let mut baseline: Option<(&'static str, Normalized)> = None;
     let mut first_error: Option<(&'static str, String)> = None;
     let mut ran = 0usize;
@@ -246,6 +347,13 @@ pub fn diff_case(case: &GenCase) -> Result<CaseOutcome, Finding> {
                             detail: format!("delivered {got:?}, sent {expected:?}"),
                         });
                     }
+                }
+                if let Some(detail) = oracle.as_ref().and_then(|o| oracle_mismatch(o, &obs)) {
+                    return Err(Finding {
+                        mode: name,
+                        kind: FindingKind::OracleDivergence,
+                        detail,
+                    });
                 }
                 let norm = normalize(&obs, case.agreement);
                 match &baseline {
@@ -373,6 +481,73 @@ mod tests {
             .find(|c| c.shape == "pipeline")
             .expect("pipeline shape within 16 draws");
         assert_eq!(diff_case(&case), Ok(CaseOutcome::Agreed));
+    }
+
+    #[test]
+    fn lane_drops_agree_with_the_relay_oracle_across_the_grid() {
+        let cases: Vec<GenCase> = (0..64)
+            .map(|i| generate(5, i))
+            .filter(|c| c.shape == "lane-drop")
+            .take(4)
+            .collect();
+        assert_eq!(cases.len(), 4, "lane-drop shape within 64 draws");
+        for case in &cases {
+            assert!(relay_oracle(&case.scenario).is_some(), "{case:?}");
+            assert_eq!(diff_case(case), Ok(CaseOutcome::Agreed), "{case:?}");
+        }
+    }
+
+    #[test]
+    fn the_relay_oracle_rejects_reordering_and_a_missing_hangup() {
+        let case = (0..64)
+            .map(|i| generate(5, i))
+            .find(|c| c.shape == "lane-drop")
+            .expect("lane-drop shape within 64 draws");
+        let oracle = relay_oracle(&case.scenario).unwrap();
+        let good: Vec<Vec<OpResult>> = oracle
+            .iter()
+            .map(|step| {
+                step.iter()
+                    .map(|e| match e {
+                        Expect::Sent => OpResult::Sent,
+                        Expect::Received(v) => OpResult::Received(*v),
+                        Expect::Hangup => OpResult::Error("peer port p0 hung up".into()),
+                        Expect::Done => OpResult::Done,
+                    })
+                    .collect()
+            })
+            .collect();
+        let obs = |results| Observation {
+            results,
+            residual: Vec::new(),
+            epoch: 0,
+        };
+        assert_eq!(oracle_mismatch(&oracle, &obs(good.clone())), None);
+        // A dropped lane that blocks instead of hanging up.
+        let mut hung = good.clone();
+        for r in hung.iter_mut().flatten() {
+            if matches!(r, OpResult::Error(_)) {
+                *r = OpResult::TimedOut;
+            }
+        }
+        assert!(oracle_mismatch(&oracle, &obs(hung)).is_some());
+        // Two receives swapped: out of order.
+        let mut swapped = good;
+        let recvs: Vec<(usize, usize)> = swapped
+            .iter()
+            .enumerate()
+            .flat_map(|(s, step)| {
+                step.iter()
+                    .enumerate()
+                    .filter(|(_, r)| matches!(r, OpResult::Received(_)))
+                    .map(move |(o, _)| (s, o))
+            })
+            .collect();
+        let ((s1, o1), (s2, o2)) = (recvs[0], recvs[1]);
+        let (a, b) = (swapped[s1][o1].clone(), swapped[s2][o2].clone());
+        swapped[s1][o1] = b;
+        swapped[s2][o2] = a;
+        assert!(oracle_mismatch(&oracle, &obs(swapped)).is_some());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! | router       | Router with quorum receives                 | multiset  |
 //! | sequencer    | the paper's Fig. 9 ordered-merge connector  | exact     |
 //! | churn merger | fan-in + runtime attach/detach (reconfig)   | multiset  |
+//! | lane drop    | relay grid whose producers drop mid-stream  | exact     |
 //!
 //! `Exact` scenarios must produce byte-identical observations in every
 //! mode; `Multiset` scenarios may legitimately reorder merge arrivals,
@@ -216,11 +217,10 @@ fn gen_pipeline(rng: &mut Rng) -> GenCase {
     }
 }
 
-/// `prod (i:1..#a) <chain>(a[i];b[i])`: independent replicated channels,
-/// all sharing one stage chain.
-fn gen_relay_grid(rng: &mut Rng) -> GenCase {
-    let mut token = 0; // no Fifo1Full in the grid: per-channel tokens
-                       // would need per-channel sources
+/// One to three relay stages without `Fifo1Full` (per-channel tokens
+/// would need per-channel sources), and their summed buffering capacity.
+fn relay_stages(rng: &mut Rng) -> (Vec<Stage>, usize) {
+    let mut token = 0;
     let n_stages = rng.range(1, 3);
     let stages: Vec<Stage> = (0..n_stages)
         .map(|_| loop {
@@ -230,40 +230,65 @@ fn gen_relay_grid(rng: &mut Rng) -> GenCase {
             }
         })
         .collect();
-    let capacity: usize = stages.iter().map(Stage::capacity).sum();
-    let channels = rng.range(2, 3);
-    let body = chain(&stages, "a[i]", "b[i]", "m");
+    let capacity = stages.iter().map(Stage::capacity).sum();
+    (stages, capacity)
+}
+
+/// `prod (i:1..#a) <chain>(a[i];b[i])`: lane `i` carries `a[i]` to `b[i]`.
+fn relay_source(stages: &[Stage]) -> String {
+    let body = chain(stages, "a[i]", "b[i]", "m");
     // Mid-port names must be arrays indexed by i to stay channel-private,
     // and a multi-stage body must be braced: `prod` binds a single term.
     let body = body.replace("m1", "m1[i]").replace("m2", "m2[i]");
-    let source = format!("P(a[];b[]) = prod (i:1..#a) {{ {body} }}");
+    format!("P(a[];b[]) = prod (i:1..#a) {{ {body} }}")
+}
+
+/// One round of relay traffic on `lanes`: one value per lane, sent and
+/// received in one batch each (or together, when nothing buffers).
+fn relay_round(
+    scenario: &mut Scenario,
+    lanes: &[usize],
+    capacity: usize,
+    value: &mut i64,
+    expected: &mut Vec<i64>,
+) {
+    if capacity == 0 {
+        for &ch in lanes {
+            scenario
+                .steps
+                .push(batch(vec![send("a", ch, *value), recv("b", ch)]));
+            expected.push(*value);
+            *value += 1;
+        }
+    } else {
+        let mut sends = Vec::new();
+        let mut recvs = Vec::new();
+        for &ch in lanes {
+            sends.push(send("a", ch, *value));
+            recvs.push(recv("b", ch));
+            expected.push(*value);
+            *value += 1;
+        }
+        scenario.steps.push(batch(sends));
+        scenario.steps.push(batch(recvs));
+    }
+}
+
+/// `prod (i:1..#a) <chain>(a[i];b[i])`: independent replicated channels,
+/// all sharing one stage chain.
+fn gen_relay_grid(rng: &mut Rng) -> GenCase {
+    let (stages, capacity) = relay_stages(rng);
+    let channels = rng.range(2, 3);
+    let source = relay_source(&stages);
 
     let mut scenario = Scenario::new(source, "P");
     scenario.replicate = vec![("a".into(), channels), ("b".into(), channels)];
     let k = rng.range(1, 4); // values per channel
     let mut value = 1i64;
     let mut expected = Vec::new();
+    let lanes: Vec<usize> = (0..channels).collect();
     for _round in 0..k {
-        if capacity == 0 {
-            for ch in 0..channels {
-                scenario
-                    .steps
-                    .push(batch(vec![send("a", ch, value), recv("b", ch)]));
-                expected.push(value);
-                value += 1;
-            }
-        } else {
-            let mut sends = Vec::new();
-            let mut recvs = Vec::new();
-            for ch in 0..channels {
-                sends.push(send("a", ch, value));
-                recvs.push(recv("b", ch));
-                expected.push(value);
-                value += 1;
-            }
-            scenario.steps.push(batch(sends));
-            scenario.steps.push(batch(recvs));
-        }
+        relay_round(&mut scenario, &lanes, capacity, &mut value, &mut expected);
     }
     expected.sort_unstable();
     GenCase {
@@ -276,6 +301,69 @@ fn gen_relay_grid(rng: &mut Rng) -> GenCase {
         },
         expected: Some(expected),
         shape: "relay-grid",
+    }
+}
+
+/// Lane drop: a relay grid whose lane producers drop their ports
+/// mid-stream — one, and with three lanes sometimes a second later —
+/// while the other lanes keep sending. Before a drop the lane may be left
+/// holding up to its buffering capacity. The other lanes must deliver
+/// exactly once and in order; a dropped lane's receiver must drain what
+/// was buffered and then resolve `Hangup`. Every drop changes the
+/// engines' hung-up set, so the hangup analysis rebuilds its memo while
+/// the surviving lanes keep stepping. The relay oracle
+/// ([`crate::diff`]) predicts every op's result from the script.
+fn gen_lane_drop(rng: &mut Rng) -> GenCase {
+    let (stages, capacity) = relay_stages(rng);
+    let channels = rng.range(2, 3);
+    let mut scenario = Scenario::new(relay_source(&stages), "P");
+    scenario.replicate = vec![("a".into(), channels), ("b".into(), channels)];
+    let drops = if channels == 3 && rng.chance(1, 2) {
+        2
+    } else {
+        1
+    };
+    let rounds = rng.range(drops + 1, drops + 3);
+    let mut live: Vec<usize> = (0..channels).collect();
+    // Dropped lanes still holding values: (lane, values left to drain).
+    let mut draining: Vec<(usize, usize)> = Vec::new();
+    let mut value = 1i64;
+    let mut expected = Vec::new();
+    for round in 0..rounds {
+        relay_round(&mut scenario, &live, capacity, &mut value, &mut expected);
+        // Drain the lanes dropped in the previous round, after the
+        // survivors moved another value each.
+        for (lane, held) in draining.drain(..) {
+            for _ in 0..held {
+                scenario.steps.push(batch(vec![recv("b", lane)]));
+            }
+            scenario.steps.push(batch(vec![recv("b", lane)])); // Hangup
+        }
+        if round < drops {
+            let lane = live.remove(rng.below(live.len()));
+            let held = rng.range(0, capacity.min(3));
+            for _ in 0..held {
+                scenario.steps.push(batch(vec![send("a", lane, value)]));
+                expected.push(value);
+                value += 1;
+            }
+            scenario.steps.push(Step::DropPort {
+                port: param("a", lane),
+            });
+            draining.push((lane, held));
+        }
+    }
+    expected.sort_unstable();
+    GenCase {
+        scenario,
+        agreement: Agreement::Exact,
+        driver: if rng.chance(1, 2) {
+            Driver::Threads
+        } else {
+            Driver::Polled
+        },
+        expected: Some(expected),
+        shape: "lane-drop",
     }
 }
 
@@ -653,13 +741,14 @@ pub fn generate_fault(seed: u64, index: u64) -> GenCase {
 /// Generate case `index` of `seed`'s stream.
 pub fn generate(seed: u64, index: u64) -> GenCase {
     let mut rng = Rng::new(seed).fork(index);
-    let mut case = match rng.below(8) {
+    let mut case = match rng.below(9) {
         0 | 1 => gen_pipeline(&mut rng),
         2 => gen_relay_grid(&mut rng),
         3 => gen_fan_out(&mut rng),
         4 => gen_fan_in(&mut rng),
         5 => gen_router(&mut rng),
         6 => gen_sequencer(&mut rng),
+        7 => gen_lane_drop(&mut rng),
         _ => gen_churn_merger(&mut rng),
     };
     case.scenario.timeout = Duration::from_secs(5);
@@ -687,7 +776,7 @@ mod tests {
         for i in 0..200 {
             shapes.insert(generate(7, i).shape);
         }
-        assert!(shapes.len() >= 7, "only saw {shapes:?}");
+        assert!(shapes.len() >= 8, "only saw {shapes:?}");
     }
 
     #[test]

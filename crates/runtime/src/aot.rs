@@ -12,7 +12,7 @@ use reo_automata::{
 };
 use reo_core::ConnectorInstance;
 
-use crate::engine::{fire_one, op_enabled, EngineCore, PendingTable};
+use crate::engine::{fire_one, op_enabled, DeadMemo, EngineCore, PendingTable};
 use crate::error::RuntimeError;
 
 /// Sequential state machine over one fully composed automaton. Also the
@@ -29,6 +29,10 @@ pub struct AotCore {
     trace: Option<Vec<Box<[StateId]>>>,
     /// Fairness: rotate the scan start so that no transition starves.
     rotation: usize,
+    /// `inputs ∪ outputs`, the ports the hangup analysis may declare dead.
+    boundary: PortSet,
+    /// Product-level hangup analysis, memoized per product state.
+    dead: DeadMemo,
 }
 
 impl AotCore {
@@ -54,6 +58,7 @@ impl AotCore {
         let inputs = automaton.inputs().clone();
         let outputs = automaton.outputs().clone();
         let state = automaton.initial();
+        let boundary = inputs.union(&outputs);
         AotCore {
             automaton,
             state,
@@ -61,6 +66,8 @@ impl AotCore {
             outputs,
             trace: None,
             rotation: 0,
+            boundary,
+            dead: DeadMemo::new(1),
         }
     }
 
@@ -131,16 +138,27 @@ impl EngineCore for AotCore {
             .any(|t| op_enabled(t, &self.inputs, &self.outputs, pending))
     }
 
-    fn dead_ports(&self, hungup: &PortSet) -> PortSet {
+    fn dead_ports<'a>(&'a mut self, hungup: &'a PortSet, walks: &mut u64) -> &'a PortSet {
         // Product-level reachability from the current state via live
         // transitions; the boundary ports none of them synchronize are
-        // dead.
-        let boundary = self.inputs.union(&self.outputs);
-        crate::engine::dead_ports_reach(
+        // dead. One walk per product state and hung-up set.
+        let Self {
+            automaton,
+            state,
+            boundary,
+            dead,
+            ..
+        } = self;
+        dead.dead_ports(hungup, walks, |_| (&*automaton, *state, &*boundary))
+    }
+
+    #[cfg(test)]
+    fn dead_ports_oracle(&self, hungup: &PortSet) -> PortSet {
+        crate::engine::dead_ports_scratch(
             self.automaton.state_count(),
             self.state,
             hungup,
-            &boundary,
+            &self.boundary,
             &|s| {
                 self.automaton
                     .transitions_from(s)

@@ -44,7 +44,7 @@ use reo_automata::{
 };
 use reo_core::ConnectorInstance;
 
-use crate::engine::{EngineCore, Pending, PendingTable};
+use crate::engine::{DeadMemo, EngineCore, Pending, PendingTable};
 use crate::error::RuntimeError;
 use crate::jit::boundary_classes;
 
@@ -88,6 +88,10 @@ pub struct CompiledCore {
     /// lets a reconfiguration splice read the current per-constituent
     /// control states back out of the lowered product.
     trace: Option<Vec<Box<[StateId]>>>,
+    /// `inputs ∪ outputs`, the ports the hangup analysis may declare dead.
+    boundary: PortSet,
+    /// Product-level hangup analysis, memoized per product state.
+    dead: DeadMemo,
 }
 
 impl CompiledCore {
@@ -219,6 +223,7 @@ impl CompiledCore {
                     .collect()
             });
 
+        let boundary = inputs.union(&outputs);
         Ok(CompiledCore {
             state: a.initial(),
             scratch: lowered.new_scratch(),
@@ -234,6 +239,8 @@ impl CompiledCore {
             mask_version: u64::MAX,
             deliveries: Vec::new(),
             trace: None,
+            boundary,
+            dead: DeadMemo::new(1),
         })
     }
 
@@ -415,15 +422,27 @@ impl EngineCore for CompiledCore {
             .any(|need| need & mask == *need)
     }
 
-    fn dead_ports(&self, hungup: &PortSet) -> PortSet {
+    fn dead_ports<'a>(&'a mut self, hungup: &'a PortSet, walks: &mut u64) -> &'a PortSet {
         // Same product-level reachability as the AOT core, over the
-        // lowered transition tables (sync sets survive lowering intact).
-        let boundary = self.inputs.union(&self.outputs);
-        crate::engine::dead_ports_reach(
+        // lowered transition tables (sync sets survive lowering intact),
+        // memoized per product state.
+        let Self {
+            lowered,
+            state,
+            boundary,
+            dead,
+            ..
+        } = self;
+        dead.dead_ports(hungup, walks, |_| (&*lowered, *state, &*boundary))
+    }
+
+    #[cfg(test)]
+    fn dead_ports_oracle(&self, hungup: &PortSet) -> PortSet {
+        crate::engine::dead_ports_scratch(
             self.lowered.state_count(),
             self.state,
             hungup,
-            &boundary,
+            &self.boundary,
             &|s| {
                 self.lowered
                     .transitions_from(s)

@@ -323,6 +323,13 @@ impl Connector {
         if let Backend::Multi(m) = &backend {
             m.wire_fault_fanout();
         }
+        // The fault-injection countdown belongs to this session alone:
+        // arming it never reaches another session's engines.
+        let fault = Arc::new(crate::fault::FaultHook::new());
+        match &backend {
+            Backend::Single(e) => e.set_fault_hook(Arc::clone(&fault)),
+            Backend::Multi(m) => m.set_fault_hook(Arc::clone(&fault)),
+        }
         // Opt-in stall watchdog: a sampler thread holding only a `Weak`
         // to the backend, so it can never keep a dropped session alive.
         let watchdog = watchdog.map(|deadline| {
@@ -395,6 +402,7 @@ impl Connector {
                 medium_count,
                 reconfig,
                 watchdog,
+                fault,
             },
         })
     }
@@ -694,6 +702,7 @@ pub struct ConnectorHandle {
     medium_count: usize,
     reconfig: Option<Arc<ReconfigShared>>,
     watchdog: Option<Arc<crate::watchdog::WatchdogState>>,
+    fault: Arc<crate::fault::FaultHook>,
 }
 
 impl ConnectorHandle {
@@ -728,6 +737,16 @@ impl ConnectorHandle {
     #[doc(hidden)]
     pub fn poison(&self, msg: &str) {
         self.backend.poison(msg);
+    }
+
+    /// Arm this session's fault-injection hook: the `n`-th step fired by
+    /// any of its engines from now (0 = the very next one) panics inside
+    /// the firing with [`crate::fault::INJECTED_PANIC`], exercising panic
+    /// containment. Other sessions are unaffected. A hook for harnesses,
+    /// not part of the stable API.
+    #[doc(hidden)]
+    pub fn arm_panic_after_steps(&self, n: u64) {
+        self.fault.arm(n);
     }
 
     /// The most recent stall report assembled by this session's watchdog

@@ -252,6 +252,15 @@ impl PendingTable {
 ///   anything above 1 is amortization the old one-value-per-hold
 ///   protocol could not express.
 ///
+/// One counter measures the **hangup analysis** (see
+/// [`EngineCore::dead_ports`]):
+///
+/// * `dead_walks` — reachability walks over one constituent from one
+///   local state. Once a port has hung up, every fire loop that fired
+///   asks for the dead set, but each walk is memoized per local state, so
+///   this stays bounded by the distinct local states visited per hung-up
+///   set, not by the number of fire loops.
+///
 /// The last two counters belong to the **partitioned scheduler**, not
 /// to any single engine; they are zero in the single-engine modes and
 /// filled in by the partition when aggregating:
@@ -294,6 +303,9 @@ pub struct EngineStats {
     /// counts twice, once per side (see type docs). 0 outside
     /// partitioned mode.
     pub batched_values: u64,
+    /// Reachability walks run by the hangup analysis (see type docs).
+    /// 0 while no port has hung up.
+    pub dead_walks: u64,
     /// Scheduler: kick requests naming ≥ 1 link that went through the
     /// kick machinery (single-link-border regions pump inline and do not
     /// count). 0 outside partitioned mode.
@@ -314,6 +326,7 @@ impl EngineStats {
         self.lock_acquisitions += other.lock_acquisitions;
         self.batch_moves += other.batch_moves;
         self.batched_values += other.batched_values;
+        self.dead_walks += other.dead_walks;
         self.kicks += other.kicks;
         self.steals += other.steals;
     }
@@ -368,18 +381,102 @@ pub trait EngineCore: Send {
     /// departed ports themselves dead (peers keep blocking); the real
     /// cores override this with reachability so peers resolve
     /// [`RuntimeError::Hangup`].
-    fn dead_ports(&self, hungup: &PortSet) -> PortSet {
+    ///
+    /// When it is asked: on every hangup, after a reconfiguration splice
+    /// installs a new core, and after every fire loop that fired while
+    /// some port of the engine is hung up. That last case is per step,
+    /// so the real cores answer from a `DeadMemo` keyed by `hungup`
+    /// and each constituent's local [`StateId`]: a constituent is walked
+    /// (`dead_ports_reach`, adding one to `walks`) only from a local
+    /// state it has not been walked from under this `hungup`. A changed
+    /// `hungup` clears the memo; a splice installs a fresh core, hence a
+    /// fresh memo. Between those, the returned set only grows, because a
+    /// step along a live transition reaches a subset of what its source
+    /// state reached (see `DeadMemo` for the one exception and how it
+    /// is caught).
+    fn dead_ports<'a>(&'a mut self, hungup: &'a PortSet, _walks: &mut u64) -> &'a PortSet {
+        hungup
+    }
+
+    /// The unmemoized analysis (a full walk per call): the oracle the
+    /// memoized [`dead_ports`](Self::dead_ports) must agree with after
+    /// every step.
+    #[cfg(test)]
+    fn dead_ports_oracle(&self, hungup: &PortSet) -> PortSet {
         hungup.clone()
+    }
+}
+
+/// A flat state machine as the hangup analysis walks it: states
+/// `0..state_count`, each with outgoing `(sync set, target)` edges
+/// borrowed from its transition slice.
+pub(crate) trait SyncGraph {
+    fn state_count(&self) -> usize;
+    fn edges(&self, s: StateId) -> impl Iterator<Item = (&PortSet, StateId)>;
+}
+
+impl SyncGraph for reo_automata::Automaton {
+    fn state_count(&self) -> usize {
+        reo_automata::Automaton::state_count(self)
+    }
+    fn edges(&self, s: StateId) -> impl Iterator<Item = (&PortSet, StateId)> {
+        self.transitions_from(s).iter().map(|t| (&t.sync, t.target))
+    }
+}
+
+impl SyncGraph for reo_automata::lower::Lowered {
+    fn state_count(&self) -> usize {
+        reo_automata::lower::Lowered::state_count(self)
+    }
+    fn edges(&self, s: StateId) -> impl Iterator<Item = (&PortSet, StateId)> {
+        self.transitions_from(s).iter().map(|t| (&t.sync, t.target))
     }
 }
 
 /// Reachability-based hangup analysis over one flat state machine, shared
 /// by the AOT, compiled, and (per constituent) JIT cores: walk the states
 /// reachable from `start` via *live* transitions — those whose sync set
-/// avoids every hung-up port — and collect the ports they synchronize.
-/// Every `boundary` port never synchronized by a reachable live
-/// transition is dead, as are the hung-up ports themselves.
-pub(crate) fn dead_ports_reach(
+/// avoids every hung-up port — borrowing each state's transition slice,
+/// and collect the ports they synchronize. Returns the `boundary` ports
+/// no reachable live transition synchronizes (the hung-up ports
+/// themselves are added by the caller). The walk stops early once every
+/// boundary port is known to be live.
+pub(crate) fn dead_ports_reach<G: SyncGraph>(
+    graph: &G,
+    start: StateId,
+    hungup: &PortSet,
+    boundary: &PortSet,
+) -> PortSet {
+    let mut unsynced = boundary.clone();
+    let mut seen = vec![false; graph.state_count()];
+    let mut stack = vec![start];
+    seen[start.index()] = true;
+    while let Some(s) = stack.pop() {
+        for (sync, target) in graph.edges(s) {
+            if !sync.is_disjoint(hungup) {
+                continue; // dead transition: requires a departed port
+            }
+            for p in sync.iter() {
+                unsynced.remove(p);
+            }
+            if unsynced.is_empty() {
+                return unsynced;
+            }
+            if !seen[target.index()] {
+                seen[target.index()] = true;
+                stack.push(target);
+            }
+        }
+    }
+    unsynced
+}
+
+/// The unmemoized hangup analysis, kept as a test oracle: one full walk
+/// per call over an allocating transition view, returning the hung-up
+/// ports plus every `boundary` port no reachable live transition
+/// synchronizes.
+#[cfg(test)]
+pub(crate) fn dead_ports_scratch(
     state_count: usize,
     start: StateId,
     hungup: &PortSet,
@@ -409,6 +506,130 @@ pub(crate) fn dead_ports_reach(
         }
     }
     dead
+}
+
+/// Memoized hangup analysis over `n` constituents (the JIT's medium
+/// automata, or the one product automaton of an AOT or compiled core).
+///
+/// The dead set is a function of the hung-up set and the constituents'
+/// local states only: `hungup ∪ ⋃ᵢ unsyncedᵢ(stateᵢ)`, where
+/// `unsyncedᵢ(s)` is [`dead_ports_reach`] of constituent `i` from `s`.
+/// So the memo keeps one table per constituent, indexed by local
+/// [`StateId`], filled on first use; every table is keyed by the one
+/// `hungup` set it was computed under and cleared when that set changes.
+///
+/// After a step only constituents whose local state moved are looked
+/// up. For a fixed `hungup` the union only grows: a step that fires a
+/// live transition moves to a successor whose live reach is a subset of
+/// its predecessor's, so its unsynced set is a superset. The rare step
+/// that breaks this (a partitioned link can still complete an operation
+/// on a port hung up by cross-link propagation) is detected by a subset
+/// check and answered by re-taking the union over the tables.
+pub(crate) struct DeadMemo {
+    hungup: PortSet,
+    /// `tables[i][s]`: constituent `i`'s unsynced ports from local state
+    /// `s` under `hungup`; a table is allocated on first use.
+    tables: Vec<Vec<Option<PortSet>>>,
+    /// The local states `dead` was computed at, when `cached`.
+    at: Vec<StateId>,
+    cached: bool,
+    dead: PortSet,
+}
+
+impl DeadMemo {
+    pub(crate) fn new(constituents: usize) -> Self {
+        DeadMemo {
+            hungup: PortSet::new(),
+            tables: vec![Vec::new(); constituents],
+            at: Vec::new(),
+            cached: false,
+            dead: PortSet::new(),
+        }
+    }
+
+    /// The dead set with constituent `i` of `parts(i) = (graph, local
+    /// state, boundary)`; walks only on a memo miss, counting each walk
+    /// in `walks`.
+    pub(crate) fn dead_ports<'g, G, F>(
+        &mut self,
+        hungup: &PortSet,
+        walks: &mut u64,
+        parts: F,
+    ) -> &PortSet
+    where
+        G: SyncGraph + 'g,
+        F: Fn(usize) -> (&'g G, StateId, &'g PortSet),
+    {
+        let n = self.tables.len();
+        if self.hungup != *hungup {
+            self.hungup = hungup.clone();
+            for t in &mut self.tables {
+                t.clear();
+            }
+            self.cached = false;
+        }
+        if !self.cached {
+            self.cached = true;
+            self.at = (0..n).map(|i| parts(i).1).collect();
+            for i in 0..n {
+                self.fill(i, &parts, walks);
+            }
+            self.rebuild();
+            return &self.dead;
+        }
+        let mut shrank = false;
+        for i in 0..n {
+            let s = parts(i).1;
+            let old = self.at[i];
+            if s == old {
+                continue;
+            }
+            self.at[i] = s;
+            self.fill(i, &parts, walks);
+            let table = &self.tables[i];
+            let (before, now) = (Self::entry(table, old), Self::entry(table, s));
+            if !before.is_subset(now) {
+                shrank = true;
+            } else if !now.is_subset(&self.dead) {
+                self.dead = self.dead.union(now);
+            }
+        }
+        if shrank {
+            self.rebuild();
+        }
+        &self.dead
+    }
+
+    /// Walk constituent `i` from its current local state `self.at[i]`
+    /// unless the table already holds that state.
+    fn fill<'g, G, F>(&mut self, i: usize, parts: &F, walks: &mut u64)
+    where
+        G: SyncGraph + 'g,
+        F: Fn(usize) -> (&'g G, StateId, &'g PortSet),
+    {
+        let (graph, s, boundary) = parts(i);
+        let table = &mut self.tables[i];
+        if table.is_empty() {
+            table.resize(graph.state_count(), None);
+        }
+        if table[s.index()].is_none() {
+            *walks += 1;
+            table[s.index()] = Some(dead_ports_reach(graph, s, &self.hungup, boundary));
+        }
+    }
+
+    fn entry(table: &[Option<PortSet>], s: StateId) -> &PortSet {
+        table[s.index()].as_ref().expect("filled before it is read")
+    }
+
+    /// `dead = hungup ∪ ⋃ᵢ tables[i][at[i]]`.
+    fn rebuild(&mut self) {
+        let mut dead = self.hungup.clone();
+        for (table, &s) in self.tables.iter().zip(&self.at) {
+            dead = dead.union(Self::entry(table, s));
+        }
+        self.dead = dead;
+    }
 }
 
 /// Best-effort extraction of a panic payload's message for poison text.
@@ -450,6 +671,7 @@ pub(crate) struct EngineInner {
     spurious_wakeups: u64,
     batch_moves: u64,
     batched_values: u64,
+    dead_walks: u64,
     pub closed: bool,
     /// Set when a fire failed irrecoverably; all operations then error.
     pub poisoned: Option<String>,
@@ -461,6 +683,17 @@ pub(crate) struct EngineInner {
     /// blocking forever. Always a superset of `hungup`.
     dead: PortSet,
 }
+
+/// How many times [`Engine::lock`] retries `try_lock` (with a spin-loop
+/// hint between tries) before it blocks in the mutex. Critical sections
+/// of the engine are short — one fire loop with memoized expansion and
+/// hangup analysis takes a few microseconds — while a blocked
+/// acquisition costs a futex sleep plus a wake, about 18 µs per
+/// contended acquisition on a virtualized 2-vCPU Xeon host. 300 failed
+/// tries take about 8 µs on that host: long enough to outlast a typical
+/// holder, short enough not to burn a time slice when the holder was
+/// preempted. A fixed constant, not an option.
+const LOCK_SPINS: u32 = 300;
 
 /// The cross-engine fault fan-out callback (see `Engine::fault_notify`).
 type FaultNotify = Box<dyn Fn(&str) + Send + Sync>;
@@ -493,6 +726,9 @@ pub struct Engine {
     /// The session's stall watchdog, when armed (`SessionSpec::watchdog`):
     /// deadline expiries consult it to upgrade `Timeout` to `Stalled`.
     watchdog: OnceLock<Arc<crate::watchdog::WatchdogState>>,
+    /// The session's fault-injection countdown, shared by all of the
+    /// session's engines (see [`crate::fault`]); unset outside sessions.
+    fault: OnceLock<Arc<crate::fault::FaultHook>>,
 }
 
 impl Engine {
@@ -515,6 +751,7 @@ impl Engine {
                 spurious_wakeups: 0,
                 batch_moves: 0,
                 batched_values: 0,
+                dead_walks: 0,
                 closed: false,
                 poisoned: None,
                 hungup: PortSet::new(),
@@ -526,12 +763,21 @@ impl Engine {
             has_hungup: AtomicBool::new(false),
             fault_notify: OnceLock::new(),
             watchdog: OnceLock::new(),
+            fault: OnceLock::new(),
         }
     }
 
-    /// Take the engine lock, counting the acquisition.
+    /// Take the engine lock, counting the acquisition. A contended
+    /// acquisition first retries `try_lock` up to [`LOCK_SPINS`] times
+    /// before it blocks in the mutex (see the constant for why).
     fn lock(&self) -> MutexGuard<'_, EngineInner> {
         self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        for _ in 0..LOCK_SPINS {
+            if let Some(guard) = self.inner.try_lock() {
+                return guard;
+            }
+            std::hint::spin_loop();
+        }
         self.inner.lock()
     }
 
@@ -553,6 +799,7 @@ impl Engine {
             lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
             batch_moves: inner.batch_moves,
             batched_values: inner.batched_values,
+            dead_walks: inner.dead_walks,
             kicks: 0,
             steals: 0,
         }
@@ -615,6 +862,11 @@ impl Engine {
         let _ = self.watchdog.set(w);
     }
 
+    /// Share the session's fault-injection countdown (first caller wins).
+    pub(crate) fn set_fault_hook(&self, f: Arc<crate::fault::FaultHook>) {
+        let _ = self.fault.set(f);
+    }
+
     /// Whether any port of this engine has hung up — lock-free, so link
     /// pumps can skip dead-source probing on healthy topologies.
     pub(crate) fn any_hungup(&self) -> bool {
@@ -656,9 +908,22 @@ impl Engine {
     /// newly dead port. Called with the lock held; returns the newly dead
     /// ports.
     fn refresh_dead(&self, inner: &mut EngineInner) -> Vec<PortId> {
-        let dead = inner.core.dead_ports(&inner.hungup);
-        let newly: Vec<PortId> = dead.iter().filter(|p| !inner.dead.contains(*p)).collect();
-        inner.dead = dead;
+        let EngineInner {
+            core,
+            hungup,
+            dead,
+            dead_walks,
+            ..
+        } = inner;
+        let now = core.dead_ports(hungup, dead_walks);
+        if *now == *dead {
+            return Vec::new();
+        }
+        let newly: Vec<PortId> = now.iter().filter(|p| !dead.contains(*p)).collect();
+        *dead = now.clone();
+        if newly.is_empty() {
+            return newly;
+        }
         let cvs = self.port_cvs.read().unwrap();
         for &p in &newly {
             let Some(slot) = inner.pending.port_map().try_slot(p) else {
@@ -809,7 +1074,9 @@ impl Engine {
                 if matches!(r, Ok(true)) {
                     // The injection hook panics at a step boundary, inside
                     // the catch — the worst-case interleaving for peers.
-                    crate::fault::tick_fired_step();
+                    if let Some(fault) = self.fault.get() {
+                        fault.tick_fired_step();
+                    }
                 }
                 r
             }));
@@ -1883,6 +2150,269 @@ mod tests {
         assert!(matches!(blocked.join().unwrap(), Err(RuntimeError::Closed)));
         // Close wakes the one blocked task, exactly once.
         assert_eq!(eng.stats().wakeups, after.wakeups + 1);
+    }
+
+    // ---- Memoized hangup analysis against the from-scratch oracle ----
+
+    /// The relay connector of `reo_connectors::families::relay_family`:
+    /// per lane a `Sync – Fifo1 – Sync` chain, lanes independent.
+    const RELAY_SRC: &str = "RelayN(t[];hd[]) = prod (i:1..#t) Sync(t[i];m[i]) \
+        mult prod (i:1..#t) Fifo1(m[i];n[i]) mult prod (i:1..#t) Sync(n[i];hd[i])";
+    /// Per-producer Fifo1s into one Merger (the churn workload's shape).
+    const MERGER_SRC: &str =
+        "M(src[];c) = prod (i:1..#src) Fifo1(src[i];m[i]) mult Merger(m[1..#src];c)";
+
+    #[derive(Clone, Copy, Debug)]
+    enum CoreKind {
+        Jit,
+        Aot,
+        Compiled,
+    }
+
+    const CORE_KINDS: [CoreKind; 3] = [CoreKind::Jit, CoreKind::Aot, CoreKind::Compiled];
+
+    /// An engine over `src`'s `def` with `tails` send ports and `heads`
+    /// receive ports (one formal each), plus the number of distinct
+    /// local states its hangup memo can hold.
+    fn memo_engine(
+        src: &str,
+        def: &str,
+        tails: (&str, usize),
+        heads: (&str, usize),
+        kind: CoreKind,
+    ) -> (Engine, Vec<PortId>, Vec<PortId>, usize) {
+        use reo_automata::{PortAllocator, ProductOptions};
+        use reo_core::{compile, instantiate, Binding};
+        let prog = reo_dsl::parse_program(src).unwrap();
+        let cc = compile(&prog, def).unwrap();
+        let mut alloc = PortAllocator::new();
+        let t = alloc.fresh_ports(tails.1);
+        let h = alloc.fresh_ports(heads.1);
+        let binding: Binding = [
+            (tails.0.to_string(), t.clone()),
+            (heads.0.to_string(), h.clone()),
+        ]
+        .into();
+        let inst = instantiate(&cc, &binding, &mut alloc).unwrap();
+        let mut layout = MemLayout::cells(alloc.mem_count());
+        layout.merge(&inst.mem_layout);
+        let opts = ProductOptions::default();
+        let (core, states): (Box<dyn EngineCore>, usize) = match kind {
+            CoreKind::Jit => {
+                let states = inst.automata.iter().map(|a| a.state_count()).sum();
+                let cache = crate::cache::CachePolicy::Unbounded.build();
+                (
+                    Box::new(crate::jit::JitCore::new(inst.automata, cache, 1 << 20)),
+                    states,
+                )
+            }
+            CoreKind::Aot => {
+                let core = crate::aot::AotCore::compose(&inst, &opts, false).unwrap();
+                let states = core.state_count();
+                (Box::new(core), states)
+            }
+            CoreKind::Compiled => {
+                let core = crate::compiled::CompiledCore::compose(&inst, &opts, false).unwrap();
+                let states = core.state_count();
+                (Box::new(core), states)
+            }
+        };
+        let engine = Engine::new(
+            core,
+            PortMap::dense(alloc.port_count()),
+            Store::new(&layout),
+        );
+        (engine, t, h, states)
+    }
+
+    /// The engine's dead set must equal the from-scratch walk whenever a
+    /// port has hung up (it is only refreshed after a fire loop that
+    /// fired, so this also checks that nothing else moves the state).
+    fn assert_dead_matches_oracle(eng: &Engine, ctx: &str) {
+        let inner = eng.inner.lock();
+        if inner.hungup.is_empty() {
+            return;
+        }
+        let oracle = inner.core.dead_ports_oracle(&inner.hungup);
+        assert_eq!(inner.dead, oracle, "{ctx}: memoized dead set != oracle");
+    }
+
+    /// Drop a port's handle the way `PortHandle` does: retract its
+    /// pending operation, then hang it up.
+    fn drop_port(eng: &Engine, p: PortId, is_tail: bool) {
+        if is_tail {
+            eng.abandon_send(p);
+        } else {
+            eng.abandon_recv(p);
+        }
+        eng.hangup(&[p]);
+    }
+
+    /// A seeded send/recv/retract script with one hangup a third of the
+    /// way in and a second two thirds in; after every operation the
+    /// memoized dead set must equal the oracle's.
+    fn run_memo_script(
+        src: &str,
+        def: &str,
+        tails: (&str, usize),
+        heads: (&str, usize),
+        hangups: [(bool, usize); 2],
+        seed: u64,
+    ) {
+        const OPS: usize = 600;
+        for kind in CORE_KINDS {
+            let (eng, t, h, _) = memo_engine(src, def, tails, heads, kind);
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move |n: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % n as u64) as usize
+            };
+            let mut gone: Vec<PortId> = Vec::new();
+            for op in 0..OPS {
+                for (k, &(is_tail, i)) in hangups.iter().enumerate() {
+                    if op == (k + 1) * OPS / 3 {
+                        let p = if is_tail { t[i] } else { h[i] };
+                        drop_port(&eng, p, is_tail);
+                        gone.push(p);
+                    }
+                }
+                let is_tail = next(2) == 0;
+                let ports = if is_tail { &t } else { &h };
+                let p = ports[next(ports.len())];
+                if gone.contains(&p) {
+                    continue;
+                }
+                let pending = eng.inner.lock().pending.get(p).clone();
+                match (pending, is_tail) {
+                    (Pending::None, true) => {
+                        let _ = eng.register_send(p, Value::Int(op as i64));
+                    }
+                    (Pending::None, false) => {
+                        let _ = eng.register_recv(p);
+                    }
+                    // Complete or retract what is outstanding (the try
+                    // probes never block).
+                    (_, true) => {
+                        let _ = eng.finish_or_retract_send(p);
+                    }
+                    (_, false) => {
+                        let _ = eng.finish_or_retract_recv(p);
+                    }
+                }
+                assert_dead_matches_oracle(&eng, &format!("{def} {kind:?} seed {seed} op {op}"));
+            }
+            assert!(eng.stats().dead_walks > 0, "{def} {kind:?}: no walk ran");
+        }
+    }
+
+    #[test]
+    fn memoized_dead_set_matches_the_oracle_on_relay_lanes() {
+        for seed in 1..=6 {
+            // Lane 0's producer leaves, then lane 1's consumer.
+            run_memo_script(
+                RELAY_SRC,
+                "RelayN",
+                ("t", 3),
+                ("hd", 3),
+                [(true, 0), (false, 1)],
+                seed,
+            );
+            // Lane 2's consumer leaves, then lane 0's producer.
+            run_memo_script(
+                RELAY_SRC,
+                "RelayN",
+                ("t", 3),
+                ("hd", 3),
+                [(false, 2), (true, 0)],
+                seed,
+            );
+        }
+    }
+
+    #[test]
+    fn memoized_dead_set_matches_the_oracle_on_a_merger() {
+        for seed in 1..=6 {
+            // One producer leaves, then another; the sink stays.
+            run_memo_script(
+                MERGER_SRC,
+                "M",
+                ("src", 3),
+                ("c", 1),
+                [(true, 0), (true, 2)],
+                seed,
+            );
+            // One producer leaves, then the sink: everything dies.
+            run_memo_script(
+                MERGER_SRC,
+                "M",
+                ("src", 3),
+                ("c", 1),
+                [(true, 1), (false, 0)],
+                seed,
+            );
+        }
+    }
+
+    #[test]
+    fn hangup_walks_once_per_local_state_not_once_per_fire_loop() {
+        // Lane 0 hung up, then 1000 steps on lanes 1 and 2: every fire
+        // loop asks for the dead set, but each constituent's local state
+        // is walked at most once under the one hung-up set.
+        for kind in CORE_KINDS {
+            let (eng, t, h, local_states) =
+                memo_engine(RELAY_SRC, "RelayN", ("t", 3), ("hd", 3), kind);
+            drop_port(&eng, t[0], true);
+            drop_port(&eng, h[0], false);
+            let at_hangup = eng.stats().dead_walks;
+            assert!(at_hangup > 0, "{kind:?}: the hangup ran no walk");
+            let mut k = 0i64;
+            while eng.steps() < 1000 {
+                for lane in 1..3 {
+                    eng.register_send(t[lane], Value::Int(k)).unwrap();
+                    eng.wait_send(t[lane], None).unwrap();
+                    eng.register_recv(h[lane]).unwrap();
+                    assert_eq!(eng.wait_recv(h[lane], None).unwrap().as_int(), Some(k));
+                    k += 1;
+                }
+            }
+            let walks = eng.stats().dead_walks - at_hangup;
+            assert!(
+                walks <= local_states as u64,
+                "{kind:?}: {walks} walks for {local_states} local states over {} steps",
+                eng.steps()
+            );
+            assert_dead_matches_oracle(&eng, &format!("{kind:?}"));
+        }
+    }
+
+    #[test]
+    fn a_shrinking_constituent_dead_set_is_rebuilt_exactly() {
+        // A step that completes an operation on a hung-up port (a
+        // partitioned link can) moves to a state that reaches *more*:
+        // the memo must notice and drop the ports that came back alive.
+        let aut = primitives::fifo1(PortId(0), PortId(1), reo_automata::MemId(0));
+        let (empty, full) = (aut.initial(), aut.transitions_from(aut.initial())[0].target);
+        let boundary: PortSet = [PortId(0), PortId(1)].into_iter().collect();
+        let hungup = PortSet::singleton(PortId(1));
+        let mut memo = DeadMemo::new(1);
+        let mut walks = 0;
+        let at_full = memo
+            .dead_ports(&hungup, &mut walks, |_| (&aut, full, &boundary))
+            .clone();
+        assert_eq!(at_full, boundary, "full, consumer gone: nothing can fire");
+        let at_empty = memo
+            .dead_ports(&hungup, &mut walks, |_| (&aut, empty, &boundary))
+            .clone();
+        assert_eq!(at_empty, hungup, "empty: the producer can still fill");
+        assert_eq!(walks, 2);
+        // Revisiting a memoized state walks nothing.
+        memo.dead_ports(&hungup, &mut walks, |_| (&aut, full, &boundary));
+        assert_eq!(walks, 2);
+        // A new hung-up set clears the memo.
+        memo.dead_ports(&boundary, &mut walks, |_| (&aut, full, &boundary));
+        assert_eq!(walks, 3);
     }
 
     /// Two independent fifo1s in one core (disjoint ports 0->1 and 2->3).

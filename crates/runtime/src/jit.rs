@@ -18,7 +18,7 @@ use std::sync::Arc;
 use reo_automata::{automaton::Transition, Automaton, Guard, PortId, PortSet, StateId, Store};
 
 use crate::cache::{CacheStats, Expanded, GlobalTransition, StateCache};
-use crate::engine::{fire_one, op_enabled, EngineCore, PendingTable};
+use crate::engine::{fire_one, op_enabled, DeadMemo, EngineCore, PendingTable};
 use crate::error::RuntimeError;
 
 /// Tuple-of-medium-automata state machine with memoized lazy expansion.
@@ -36,6 +36,8 @@ pub struct JitCore {
     expansion_budget: usize,
     rotation: usize,
     expansions: u64,
+    /// Per-constituent hangup analysis, memoized per local state.
+    dead: DeadMemo,
 }
 
 /// Compute global boundary classes from a set of medium automata: a port
@@ -66,6 +68,7 @@ impl JitCore {
             suffix_ports[i] = suffix_ports[i + 1].union(&ports[i]);
         }
         let states: Box<[StateId]> = automata.iter().map(|a| a.initial()).collect();
+        let dead = DeadMemo::new(automata.len());
         JitCore {
             automata,
             states,
@@ -77,6 +80,7 @@ impl JitCore {
             expansion_budget,
             rotation: 0,
             expansions: 0,
+            dead,
         }
     }
 
@@ -286,7 +290,7 @@ impl EngineCore for JitCore {
             .any(|gt| op_enabled(&gt.trans, &self.inputs, &self.outputs, pending))
     }
 
-    fn dead_ports(&self, hungup: &PortSet) -> PortSet {
+    fn dead_ports<'a>(&'a mut self, hungup: &'a PortSet, walks: &mut u64) -> &'a PortSet {
         // Per-constituent reachability: a local transition is dead when it
         // synchronizes a hung-up port, and local states reachable from the
         // current one via live transitions over-approximate the global
@@ -294,10 +298,25 @@ impl EngineCore for JitCore {
         // of its local transitions). So a port that *some* constituent can
         // no longer synchronize on any reachable live local transition is
         // dead for the whole product — sound, and it never builds the
-        // product the JIT exists to avoid.
+        // product the JIT exists to avoid. Each constituent's answer is
+        // memoized per local state: a step re-walks only a constituent
+        // that moved to a local state it has not visited under this
+        // hung-up set.
+        let Self {
+            automata,
+            states,
+            ports,
+            dead,
+            ..
+        } = self;
+        dead.dead_ports(hungup, walks, |i| (&automata[i], states[i], &ports[i]))
+    }
+
+    #[cfg(test)]
+    fn dead_ports_oracle(&self, hungup: &PortSet) -> PortSet {
         let mut dead = hungup.clone();
         for (i, a) in self.automata.iter().enumerate() {
-            let local = crate::engine::dead_ports_reach(
+            let local = crate::engine::dead_ports_scratch(
                 a.state_count(),
                 self.states[i],
                 hungup,

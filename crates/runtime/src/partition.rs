@@ -271,6 +271,9 @@ pub struct Partitioned {
     /// Shared stall-watchdog state, mirrored into every region engine so
     /// a deadline expiry anywhere can upgrade to [`RuntimeError::Stalled`].
     watchdog_state: OnceLock<Arc<crate::watchdog::WatchdogState>>,
+    /// The session's fault-injection countdown, mirrored into every
+    /// region engine ([`Partitioned::set_fault_hook`]).
+    fault_hook: OnceLock<Arc<crate::fault::FaultHook>>,
     /// One-shot latch: a poisoned topology lock has already been reported
     /// (every engine poisoned), so recovery paths stay quiet afterwards.
     lock_poison_noted: AtomicBool,
@@ -376,6 +379,7 @@ pub fn partition(
         kicks: AtomicU64::new(0),
         fanout: OnceLock::new(),
         watchdog_state: OnceLock::new(),
+        fault_hook: OnceLock::new(),
         lock_poison_noted: AtomicBool::new(false),
     })
 }
@@ -840,6 +844,15 @@ impl Partitioned {
         }
     }
 
+    /// Share the session's fault-injection countdown with every region
+    /// engine, including regions a later splice creates.
+    pub(crate) fn set_fault_hook(&self, f: Arc<crate::fault::FaultHook>) {
+        let _ = self.fault_hook.set(Arc::clone(&f));
+        for e in &self.topo().engines {
+            e.set_fault_hook(Arc::clone(&f));
+        }
+    }
+
     /// Hang up the given ports (their tasks dropped the handles) and
     /// propagate deadness across links to a fixpoint, then pump so any
     /// transition enabled by the wake-ups runs.
@@ -1219,12 +1232,16 @@ impl Partitioned {
                     let (core, ports) = fresh.remove(&nr).expect("fresh region core built");
                     let engine = Arc::new(Engine::new(core, ports, Store::new(layout)));
                     // Fresh regions join the fault-containment fabric:
-                    // poison fan-out and the shared stall watchdog.
+                    // poison fan-out, the shared stall watchdog and the
+                    // session's fault-injection countdown.
                     if let Some(weak) = self.fanout.get() {
                         Self::wire_engine_fanout(weak, &engine);
                     }
                     if let Some(w) = self.watchdog_state.get() {
                         engine.set_watchdog(Arc::clone(w));
+                    }
+                    if let Some(f) = self.fault_hook.get() {
+                        engine.set_fault_hook(Arc::clone(f));
                     }
                     engine
                 }

@@ -384,17 +384,6 @@ pub fn run_scenario(
     // the observation is assembled so their effect is part of the run.
     let mut closers: Vec<std::thread::JoinHandle<()>> = Vec::new();
 
-    // A scripted panic that never fired (script ended or errored first)
-    // must not leak into the next scenario run in this process — the
-    // hook is process-global. Disarm on every exit path.
-    struct FaultGuard;
-    impl Drop for FaultGuard {
-        fn drop(&mut self) {
-            crate::fault::disarm();
-        }
-    }
-    let _fault_guard = FaultGuard;
-
     let mut results: Vec<Vec<OpResult>> = Vec::with_capacity(scenario.steps.len());
     for step in &scenario.steps {
         match step {
@@ -402,7 +391,7 @@ pub fn run_scenario(
                 results.push(vec![ports.drop_port(port)]);
             }
             Step::InjectPanic { after } => {
-                crate::fault::arm_panic_after_steps(*after);
+                handle.arm_panic_after_steps(*after);
                 results.push(vec![OpResult::Done]);
             }
             Step::Poison => {

@@ -14,7 +14,7 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -75,10 +75,6 @@ fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
     cond()
 }
 
-/// The panic-injection hook is process-global; tests that arm it must
-/// not interleave.
-static PANIC_HOOK_LOCK: Mutex<()> = Mutex::new(());
-
 /// A panic injected into a firing poisons the engine and resolves every
 /// parked party — the blocking sender whose firing blew up, a sync
 /// receiver parked on a *different* fifo (a different region under the
@@ -87,7 +83,6 @@ static PANIC_HOOK_LOCK: Mutex<()> = Mutex::new(());
 /// panic never escapes the containment boundary.
 #[test]
 fn injected_panic_poisons_all_regions_and_wakes_parked_waiters() {
-    let _serial = PANIC_HOOK_LOCK.lock().unwrap();
     let program =
         reo::dsl::parse_program("Buf(a[];b[]) = prod (i:1..#a) Fifo1(a[i];b[i])").unwrap();
     for mode in modes() {
@@ -114,9 +109,8 @@ fn injected_panic_poisons_all_regions_and_wakes_parked_waiters() {
 
         // Both fifos are empty and the receiver is parked: the next fired
         // step is exactly the armed fill firing.
-        reo::runtime::fault::arm_panic_after_steps(0);
+        handle.arm_panic_after_steps(0);
         let sent = tx_boom.send(7);
-        reo::runtime::fault::disarm();
         // The injected panic strikes *after* the step commits, so the
         // triggering send either completed just-in-time or observed the
         // poison — both are inside the containment contract.
@@ -159,7 +153,6 @@ fn injected_panic_poisons_all_regions_and_wakes_parked_waiters() {
 /// poison fan-out — not discovered stale at some later poll.
 #[test]
 fn injected_panic_wakes_a_parked_async_waker() {
-    let _serial = PANIC_HOOK_LOCK.lock().unwrap();
     let program =
         reo::dsl::parse_program("Buf(a[];b[]) = prod (i:1..#a) Fifo1(a[i];b[i])").unwrap();
     for mode in modes() {
@@ -177,6 +170,7 @@ fn injected_panic_wakes_a_parked_async_waker() {
         let mut rxs = session.typed_inports::<i64>("b").unwrap();
         let (tx_boom, _tx_idle) = (txs.pop().unwrap(), txs.pop().unwrap());
         let (_rx_boom, rx_parked) = (rxs.pop().unwrap(), rxs.pop().unwrap());
+        let handle = session.handle();
 
         let (flag, waker) = FlagWaker::new();
         let mut cx = Context::from_waker(&waker);
@@ -184,9 +178,8 @@ fn injected_panic_wakes_a_parked_async_waker() {
         assert!(Pin::new(&mut recv).poll(&mut cx).is_pending());
         assert!(!flag.woken());
 
-        reo::runtime::fault::arm_panic_after_steps(0);
+        handle.arm_panic_after_steps(0);
         let _ = tx_boom.send(7);
-        reo::runtime::fault::disarm();
 
         assert!(
             eventually(Duration::from_secs(2), || flag.woken()),
@@ -206,6 +199,41 @@ fn injected_panic_wakes_a_parked_async_waker() {
 /// parked mid-rendezvous when its only possible partner drops. Every
 /// transition through the receiver's port is now dead; the park must
 /// resolve `Hangup`, not ride out its 5 s deadline.
+/// The fault-injection countdown belongs to one session: steps fired by
+/// another session — here a neighbour running in the same process, in
+/// every mode — never take the armed panic, and the armed session still
+/// takes it on its own next step.
+#[test]
+fn an_armed_panic_stays_inside_its_session() {
+    let program = reo::dsl::parse_program("Buf(a;b) = Fifo1(a;b)").unwrap();
+    for mode in modes() {
+        let connector = Connector::builder(&program, "Buf")
+            .mode(mode)
+            .build()
+            .unwrap();
+        let mut armed = connector.session().connect().unwrap();
+        let mut neighbour = connector.session().connect().unwrap();
+        let armed_tx = armed.typed_outport::<i64>("a").unwrap();
+        let (tx, rx) = (
+            neighbour.typed_outport::<i64>("a").unwrap(),
+            neighbour.typed_inport::<i64>("b").unwrap(),
+        );
+        armed.handle().arm_panic_after_steps(0);
+        for k in 0..20 {
+            tx.send(k).unwrap();
+            assert_eq!(rx.recv().unwrap(), k, "{mode:?}: neighbour traffic");
+        }
+        assert_eq!(neighbour.handle().poison_message(), None, "{mode:?}");
+        assert_eq!(armed.handle().poison_message(), None, "{mode:?}");
+        let _ = armed_tx.send(1);
+        let msg = armed.handle().poison_message().unwrap_or_default();
+        assert!(
+            msg.contains(reo::runtime::fault::INJECTED_PANIC),
+            "{mode:?}: the armed session's own step must take the panic: {msg:?}"
+        );
+    }
+}
+
 #[test]
 fn dropping_a_rendezvous_partner_resolves_parked_recv_to_hangup() {
     let program = reo::dsl::parse_program("S(a;b) = Sync(a;b)").unwrap();
